@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-antithetic", action="store_const", const=False, dest="antithetic"
     )
     p.add_argument("--mc-steps", type=int, dest="mc_steps")
-    p.add_argument("--tol", type=float, help="quadrature absolute tolerance")
+    p.add_argument(
+        "--tol", type=float, help="quadrature tolerance, relative to max(1, u0, strike)"
+    )
     p.add_argument("--n-points", type=int, dest="n_points")
     p.add_argument("--n-time-steps", type=int, dest="n_time_steps")
     p.add_argument("--x-min", type=float, dest="x_min", help="PDE grid override")
@@ -290,7 +292,7 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _pde_grid_from(settings: dict, market: MarketParams, opt) -> Optional[fp.FPGridSpec]:
+def _pde_grid_from(settings: dict, opt) -> Optional[fp.FPGridSpec]:
     x_min, x_max = settings.get("x_min"), settings.get("x_max")
     if (x_min is None) != (x_max is None):
         raise ConfigError("x_min and x_max must be given together")
@@ -319,7 +321,7 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt) -> pricin
             n_steps=settings["mc_steps"],
             n_partitions=_resolve_threads(settings),
         )
-    grid = _pde_grid_from(settings, market, opt)
+    grid = _pde_grid_from(settings, opt)
     if grid is None:
         grid = pricing.default_pde_grid(
             market, opt, settings["n_points"], settings["n_time_steps"]

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .dynamics import MarketParams, log_coordinate
 from .errors import DomainError, MassLeak, NumericalError
@@ -164,6 +163,8 @@ def evolve_density(
     or if boundary-face fluxes accumulate beyond a 1e-8 fraction of the
     mass during the run.
     """
+    from scipy.linalg import solve_banded
+
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError("t must be positive and finite")
     points = spec.points()

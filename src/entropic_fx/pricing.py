@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from .dynamics import (
     RISK_NEUTRAL,
     MarketParams,
+    _partition_sizes,
     log_coordinate,
     partition_rng,
     simulate_paths,
@@ -200,12 +198,17 @@ def quadrature_price(
 
     Integrates payoff(e^y) against the Gaussian law of y = ln u_T over the
     mean +/- 12 standard deviations, clipped to where the payoff is
-    nonzero.  Raises ToleranceNotMet if the integrator cannot certify the
-    requested absolute tolerance.
+    nonzero.  ``tol`` is relative to max(1, u0, strike), the scale of the
+    premium: the absolute error bound required is
+    ``tol * max(1, u0, strike)``.  Raises ToleranceNotMet if the
+    integrator cannot certify it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     _require_risk_neutral(params)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
+    abs_tol = tol * max(1.0, params.u0, opt.strike)
     t = opt.expiry
     mean = log_coordinate(params.u0) + params.log_drift * t
     sd = params.sigma * math.sqrt(t)
@@ -229,7 +232,7 @@ def quadrature_price(
     def integrand(z: float) -> float:
         return opt.payoff(math.exp(mean + sd * z)) * norm * math.exp(-0.5 * z * z)
 
-    target = 0.5 * tol / discount
+    target = 0.5 * abs_tol / discount
     value = err = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -237,11 +240,12 @@ def quadrature_price(
             value, err = quad(
                 integrand, lo, hi, epsabs=target, epsrel=1e-12, limit=limit
             )
-            if discount * err <= tol:
+            if discount * err <= abs_tol:
                 break
-    if discount * err > tol:
+    if discount * err > abs_tol:
         raise ToleranceNotMet(
-            f"quadrature error bound {discount * err:.3e} exceeds tol {tol:.3e}"
+            f"quadrature error bound {discount * err:.3e} exceeds tol "
+            f"{abs_tol:.3e}"
         )
     return PriceResult(
         premium=discount * value,
@@ -292,14 +296,10 @@ def mc_price(
         mean = log_coordinate(params.u0) + params.log_drift * t
         sd = params.sigma * math.sqrt(t)
         n_draws = n_paths // 2 if antithetic else n_paths
-        base, rem = divmod(n_draws, n_partitions)
-        chunks = []
-        for k in range(n_partitions):
-            size = base + (1 if k < rem else 0)
-            if size == 0:
-                continue
-            chunks.append(partition_rng(seed, k).standard_normal(size))
-        z = np.concatenate(chunks)
+        sizes = _partition_sizes(n_draws, n_partitions)
+        z = np.concatenate(
+            [partition_rng(seed, k).standard_normal(n) for k, n in enumerate(sizes)]
+        )
         if antithetic:
             up = opt.payoff(np.exp(mean + sd * z))
             dn = opt.payoff(np.exp(mean - sd * z))
@@ -374,6 +374,9 @@ def pde_price(
     worst scaled defect of the stepping equations, a direct check on the
     linear algebra.
     """
+    from scipy.interpolate import CubicSpline
+    from scipy.linalg import solve_banded
+
     _require_risk_neutral(params)
     if grid is None:
         grid = default_pde_grid(params, opt)

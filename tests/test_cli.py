@@ -146,6 +146,15 @@ class TestPriceCommand:
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "ToleranceNotMet"
 
+    def test_quadrature_tol_is_relative_to_strike(self):
+        proc = run_cli(
+            "price", "--u0", "1.0", "--strike", "1000.0", "--rd", "0.05",
+            "--rf", "0.02", "--sigma", "0.3", "--expiry", "1.0",
+            "--kind", "put", "--method", "quadrature",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["method"] == "quadrature"
+
     def test_narrow_pde_grid_exits_3(self):
         proc = run_cli(
             "price", *STD_FLAGS,

@@ -308,3 +308,62 @@ class TestPathsCsv:
             cells = [float(c) for c in line.split(",")]
             assert cells[0] == paths.times[i]
             assert cells[1:] == list(paths.log_paths[:, i])
+
+    # The row-at-a-time writer must match the per-value f"{v:.17g}" writer
+    # it replaced, byte for byte.
+    @staticmethod
+    def per_value_csv(paths):
+        lines = ["time," + ",".join(f"path_{j}" for j in range(paths.n_paths))]
+        for i, t in enumerate(paths.times):
+            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in paths.log_paths[:, i]]
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+
+    def test_matches_per_value_writer_on_extreme_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        huge = np.finfo(float).max
+        paths = PathSet(
+            times=np.array([0.0, tiny, 1e-310, 1.0, 1e308]),
+            log_paths=np.array(
+                [
+                    [0.0, -0.0, tiny, -tiny, 1e-300],
+                    [-0.0, 2.2250738585072014e-308, -1e-310, 0.1, -1e308],
+                    [0.0, huge, -huge, 9.999999999999999e307, 1.0 / 3.0],
+                ]
+            ),
+            seed=0,
+            n_paths=3,
+            n_steps=4,
+        )
+        text = paths_to_csv(paths)
+        assert text == self.per_value_csv(paths)
+        assert "-0," in text
+
+    def test_matches_per_value_writer_on_simulated_paths(self):
+        paths = simulate_paths(
+            MarketParams(u0=0.7, drift_d=0.03, drift_f=0.01, sigma=0.4),
+            2.0,
+            17,
+            9,
+            seed=5,
+        )
+        assert paths_to_csv(paths) == self.per_value_csv(paths)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_matches_per_value_writer_on_any_finite_floats(self, values):
+        n_steps = len(values) - 1
+        paths = PathSet(
+            times=np.arange(n_steps + 1, dtype=float),
+            log_paths=np.array([values, [values[0]] + values[:0:-1]]),
+            seed=0,
+            n_paths=2,
+            n_steps=n_steps,
+        )
+        assert paths_to_csv(paths) == self.per_value_csv(paths)

@@ -296,6 +296,18 @@ class TestQuadrature:
         with pytest.raises(ToleranceNotMet):
             quadrature_price(self.std(), OptionSpec("call", 1.0, 1.0), tol=1e-18)
 
+    @pytest.mark.parametrize("strike", [500.0, 1000.0, 1500.0])
+    def test_tol_scales_with_strike(self, strike):
+        # Deep in-the-money puts: the certified error bound grows with the
+        # premium (4.3e-10 .. 1.3e-9 here), so an absolute 1e-10 would
+        # raise ToleranceNotMet on a valid input.
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.3)
+        opt = OptionSpec("put", strike, 1.0)
+        got = quadrature_price(market, opt)
+        assert got.diagnostics["abs_error_bound"] <= 1e-10 * strike
+        exact = closed_form_price(market, opt).premium
+        assert abs(got.premium - exact) <= 1e-10 * strike
+
     def test_tol_validation(self):
         with pytest.raises(DomainError):
             quadrature_price(self.std(), OptionSpec("call", 1.0, 1.0), tol=0.0)
