@@ -139,6 +139,39 @@ def _apply_tridiag(lower, diag, upper, p):
     return out
 
 
+class _TridiagonalLU:
+    """A tridiagonal matrix factored once, then solved against many right-hand sides.
+
+    ``lower`` and ``upper`` are the n-1 sub- and super-diagonal entries,
+    ``diag`` the n main-diagonal ones.  LAPACK ``dgttrf`` factors with
+    partial pivoting and ``dgttrs`` solves; together they run the same
+    elimination and back-substitution as LAPACK's one-shot tridiagonal
+    solver ``dgtsv``, so solutions are bitwise equal to a ``dgtsv`` solve
+    of each right-hand side while the factorization is paid once.
+    Non-finite entries and singular matrices raise NumericalError.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        if not all(np.isfinite(band).all() for band in (lower, diag, upper)):
+            raise NumericalError("tridiagonal matrix has non-finite entries")
+        *factors, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise NumericalError(f"tridiagonal matrix is singular (zero pivot {info})")
+        self._factors = factors
+        self._dgttrs = dgttrs
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution of A x = rhs; a contiguous float64 ``rhs`` is overwritten."""
+        if not np.isfinite(rhs).all():
+            raise NumericalError("right-hand side has non-finite entries")
+        x, info = self._dgttrs(*self._factors, rhs, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve failed (info {info})")
+        return x
+
+
 def _finalize_weights(points: np.ndarray, p: np.ndarray) -> DensityGrid:
     """Clip round-off negatives, reject genuine undershoots."""
     worst = float(np.min(p))
@@ -163,8 +196,6 @@ def evolve_density(
     or if boundary-face fluxes accumulate beyond a 1e-8 fraction of the
     mass during the run.
     """
-    from scipy.linalg import solve_banded
-
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError("t must be positive and finite")
     points = spec.points()
@@ -185,12 +216,10 @@ def evolve_density(
 
     lower, diag, upper = _operator_diagonals(nu, diffusion, h, n)
 
-    # Banded form of (I - dt/2 L) for solve_banded: rows are the upper,
-    # main, and lower diagonals.
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
+    # I - dt/2 L is the same at every step: factor it once.
+    lhs = _TridiagonalLU(
+        -0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1]
+    )
 
     adv = 0.5 * nu
     dif_h = diffusion / h
@@ -200,7 +229,7 @@ def evolve_density(
     leak = 0.0
     for _ in range(n_steps):
         rhs = p + 0.5 * dt * _apply_tridiag(lower, diag, upper, p)
-        p_next = solve_banded((1, 1), ab, rhs)
+        p_next = lhs.solve(rhs)
 
         mid0 = 0.5 * (p[0] + p_next[0])
         mid1 = 0.5 * (p[1] + p_next[1])

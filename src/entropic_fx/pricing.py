@@ -9,6 +9,7 @@ rather than a tautology.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,7 +31,7 @@ from .errors import (
     NumericalError,
     ToleranceNotMet,
 )
-from .fokker_planck import FPGridSpec
+from .fokker_planck import FPGridSpec, _TridiagonalLU
 
 CALL = "call"
 PUT = "put"
@@ -45,6 +46,15 @@ _QUAD_SIGMAS = 12.0
 # and the spot must not sit in the outer tenth of the grid.
 _PDE_STRIKE_SIGMAS = 8.0
 _PDE_EDGE_FRACTION = 0.1
+# Above this log rate exp(x) overflows a float; PDE grids must stay below it.
+_PDE_X_MAX = math.log(sys.float_info.max)
+
+
+def _check_contract(strike: float, expiry: float) -> None:
+    if not (strike > 0.0 and math.isfinite(strike)):
+        raise DomainError("strike must be positive and finite")
+    if not (expiry > 0.0 and math.isfinite(expiry)):
+        raise DomainError("expiry must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,10 +68,7 @@ class OptionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (self.strike > 0.0 and math.isfinite(self.strike)):
-            raise DomainError("strike must be positive and finite")
-        if not (self.expiry > 0.0 and math.isfinite(self.expiry)):
-            raise DomainError("expiry must be positive and finite")
+        _check_contract(self.strike, self.expiry)
 
     def payoff(self, rate):
         rate = np.asarray(rate, dtype=float)
@@ -84,10 +91,7 @@ class PriceResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not math.isfinite(self.premium):
-            raise NumericalError("premium must be finite")
-        if self.premium < -1e-10:
-            raise NumericalError(f"premium {self.premium:.3e} is negative")
+        _check_premium(self.premium)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,6 +115,13 @@ class PriceResult:
         )
 
 
+def _check_premium(premium: float) -> None:
+    if not math.isfinite(premium):
+        raise NumericalError("premium must be finite")
+    if premium < -1e-10:
+        raise NumericalError(f"premium {premium:.3e} is negative")
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
@@ -130,65 +141,83 @@ def _require_risk_neutral(params: MarketParams) -> None:
         )
 
 
+def _d1_d2(params: MarketParams, strike: float, expiry: float) -> tuple[float, float]:
+    sig_sqrt_t = params.sigma * math.sqrt(expiry)
+    if sig_sqrt_t == 0.0:
+        raise DomainError("sigma * sqrt(expiry) must be positive")
+    num = (
+        math.log(params.u0 / strike)
+        + (params.drift_d - params.drift_f + 0.5 * params.sigma**2) * expiry
+    )
+    d1 = num / sig_sqrt_t
+    return d1, d1 - sig_sqrt_t
+
+
 def d1_d2(params: MarketParams, opt: OptionSpec) -> tuple[float, float]:
     """Normalized log moneyness pair for the closed-form price.
 
     d1 carries +sigma^2/2 in the numerator and d2 = d1 - sigma*sqrt(T);
     N(d2) is then the risk-neutral exercise probability.
     """
-    sig_sqrt_t = params.sigma * math.sqrt(opt.expiry)
-    if sig_sqrt_t == 0.0:
-        raise DomainError("sigma * sqrt(expiry) must be positive")
-    num = (
-        math.log(params.u0 / opt.strike)
-        + (params.drift_d - params.drift_f + 0.5 * params.sigma**2) * opt.expiry
+    return _d1_d2(params, opt.strike, opt.expiry)
+
+
+def _gk_premium(
+    params: MarketParams, kind: str, strike: float, expiry: float, d1: float, d2: float
+) -> float:
+    """s (u0 e^{-rf T} N(s d1) - K e^{-rd T} N(s d2)), s = +1 call, -1 put."""
+    s = 1.0 if kind == CALL else -1.0
+    spot_leg = params.u0 * math.exp(-params.drift_f * expiry) * std_normal_cdf(s * d1)
+    strike_leg = strike * math.exp(-params.drift_d * expiry) * std_normal_cdf(s * d2)
+    # Subtracting in the sign's order, not multiplying by s, keeps a put
+    # whose legs cancel exactly at +0.0.
+    return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
+
+
+def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResult:
+    _require_risk_neutral(params)
+    if opt.kind != kind:
+        raise DomainError(f"gk_{kind} requires a {kind} option")
+    d1, d2 = d1_d2(params, opt)
+    premium = _gk_premium(params, kind, opt.strike, opt.expiry, d1, d2)
+    return PriceResult(
+        premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
     )
-    d1 = num / sig_sqrt_t
-    return d1, d1 - sig_sqrt_t
 
 
 def gk_call(params: MarketParams, opt: OptionSpec) -> PriceResult:
     """Closed-form call premium u0 e^{-rf T} N(d1) - K e^{-rd T} N(d2)."""
-    _require_risk_neutral(params)
-    if opt.kind != CALL:
-        raise DomainError("gk_call requires a call option")
-    d1, d2 = d1_d2(params, opt)
-    premium = params.u0 * math.exp(-params.drift_f * opt.expiry) * std_normal_cdf(
-        d1
-    ) - opt.strike * math.exp(-params.drift_d * opt.expiry) * std_normal_cdf(d2)
-    return PriceResult(
-        premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
-    )
+    return _closed_form(params, opt, CALL)
 
 
 def gk_put(params: MarketParams, opt: OptionSpec) -> PriceResult:
     """Closed-form put premium K e^{-rd T} N(-d2) - u0 e^{-rf T} N(-d1)."""
-    _require_risk_neutral(params)
-    if opt.kind != PUT:
-        raise DomainError("gk_put requires a put option")
-    d1, d2 = d1_d2(params, opt)
-    premium = opt.strike * math.exp(-params.drift_d * opt.expiry) * std_normal_cdf(
-        -d2
-    ) - params.u0 * math.exp(-params.drift_f * opt.expiry) * std_normal_cdf(-d1)
-    return PriceResult(
-        premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
-    )
+    return _closed_form(params, opt, PUT)
 
 
 def closed_form_price(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    return gk_call(params, opt) if opt.kind == CALL else gk_put(params, opt)
+    return _closed_form(params, opt, opt.kind)
 
 
 def parity_residual(
     params: MarketParams, strike: float, expiry: float
 ) -> float:
-    """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding."""
-    call = gk_call(params, OptionSpec(CALL, strike, expiry))
-    put = gk_put(params, OptionSpec(PUT, strike, expiry))
+    """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding.
+
+    C and P are computed separately from one d1/d2 pair, exactly as
+    ``gk_call`` and ``gk_put`` compute them, and checked as premiums are.
+    """
+    _check_contract(strike, expiry)
+    _require_risk_neutral(params)
+    d1, d2 = _d1_d2(params, strike, expiry)
+    call = _gk_premium(params, CALL, strike, expiry, d1, d2)
+    put = _gk_premium(params, PUT, strike, expiry, d1, d2)
+    _check_premium(call)
+    _check_premium(put)
     forward_leg = params.u0 * math.exp(
         -params.drift_f * expiry
     ) - strike * math.exp(-params.drift_d * expiry)
-    return call.premium - put.premium - forward_leg
+    return call - put - forward_leg
 
 
 def quadrature_price(
@@ -373,13 +402,20 @@ def pde_price(
     Crank-Nicolson takes over.  The reported residual diagnostic is the
     worst scaled defect of the stepping equations, a direct check on the
     linear algebra.
+
+    The grid's upper bound must not exceed ln(float max) ~ 709.78, above
+    which the boundary value e^x overflows; such a grid raises DomainError.
     """
     from scipy.interpolate import CubicSpline
-    from scipy.linalg import solve_banded
 
     _require_risk_neutral(params)
     if grid is None:
         grid = default_pde_grid(params, opt)
+    if grid.x_max > _PDE_X_MAX:
+        raise DomainError(
+            f"PDE grid upper bound x_max = {grid.x_max:.6g} exceeds "
+            f"ln(float max) = {_PDE_X_MAX:.6g}, where exp(x) overflows"
+        )
 
     x = grid.points()
     n = grid.n_points
@@ -411,14 +447,15 @@ def pde_price(
     diag_c = -2.0 * diffusion / (h * h) - rd
     upper_c = diffusion / (h * h) + 0.5 * nu / h
 
-    def banded_lhs(theta_dt: float) -> np.ndarray:
-        ab = np.zeros((3, n))
-        ab[0, 2:] = -theta_dt * upper_c
-        ab[1, 1:-1] = 1.0 - theta_dt * diag_c
-        ab[2, :-2] = -theta_dt * lower_c
-        ab[1, 0] = 1.0
-        ab[1, -1] = 1.0
-        return ab
+    # I - dtau/2 L with identity boundary rows.  The two implicit half-steps
+    # and every Crank-Nicolson step solve with it, so it is factored once.
+    theta = 0.5 * dtau
+    lhs_lower = np.full(n - 1, -theta * lower_c)
+    lhs_diag = np.full(n, 1.0 - theta * diag_c)
+    lhs_upper = np.full(n - 1, -theta * upper_c)
+    lhs_lower[-1] = lhs_upper[0] = 0.0
+    lhs_diag[0] = lhs_diag[-1] = 1.0
+    lhs = _TridiagonalLU(lhs_lower, lhs_diag, lhs_upper)
 
     def apply_interior(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -431,21 +468,19 @@ def pde_price(
     residual = 0.0
 
     # Two implicit half-steps over the first dtau smooth the kink.
-    ab_half = banded_lhs(0.5 * dtau)
     for j in (1, 2):
         tau = j * 0.5 * dtau
         lo, hi = _pde_boundary_values(params, opt, x[0], x[-1], tau)
         rhs = values.copy()
         rhs[0], rhs[-1] = lo, hi
-        values = solve_banded((1, 1), ab_half, rhs)
+        values = lhs.solve(rhs)
 
-    ab_cn = banded_lhs(0.5 * dtau)
     for m in range(1, n_steps):
         tau = (m + 1) * dtau
         lo, hi = _pde_boundary_values(params, opt, x[0], x[-1], tau)
         rhs = values + 0.5 * dtau * apply_interior(values)
         rhs[0], rhs[-1] = lo, hi
-        new_values = solve_banded((1, 1), ab_cn, rhs)
+        new_values = lhs.solve(rhs)
 
         mid = 0.5 * (values + new_values)
         defect = (new_values - values) / dtau - apply_interior(mid)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from entropic_fx import MarketParams, OptionSpec
@@ -50,3 +51,9 @@ def std_call():
 @pytest.fixture
 def std_put():
     return OptionSpec("put", 1.0, 1.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the bit, as float64 arrays or scalars: 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -165,6 +165,18 @@ class TestPriceCommand:
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "GridTooNarrow"
 
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_pde_grid_past_exp_overflow_exits_2(self, kind):
+        proc = run_cli(
+            "price", "--method", "pde",
+            "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", "30",
+            "--strike", "1", "--expiry", "1", "--kind", kind,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()  # the JSON error and no warning
+        assert json.loads(line)["error"] == "DomainError"
+
     def test_partial_grid_override_exits_2(self):
         proc = run_cli("price", *STD_FLAGS, "--method", "pde", "--x-min", "-2.0")
         assert proc.returncode == 2

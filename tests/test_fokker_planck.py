@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
 from entropic_fx import (
     DensityGrid,
@@ -19,7 +21,14 @@ from entropic_fx import (
     transition_density,
     transition_pdf,
 )
-from entropic_fx.fokker_planck import _finalize_weights, _operator_diagonals
+from entropic_fx import fokker_planck, pricing
+from entropic_fx.fokker_planck import (
+    _finalize_weights,
+    _operator_diagonals,
+    _TridiagonalLU,
+)
+
+from conftest import same_bits
 
 
 def flat_rates_market(sigma=0.2):
@@ -234,3 +243,171 @@ class TestOperatorProperties:
         p = np.array([-1e-6, 1.0, 1.0, 1.0, 0.5])
         with pytest.raises(NumericalError):
             _finalize_weights(pts, p)
+
+
+def _banded(lower, diag, upper):
+    """(3, n) banded storage of a tridiagonal matrix for solve_banded."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+class _PerStepBanded:
+    """Reference stepper: ``solve_banded`` re-factors on every solve."""
+
+    def __init__(self, lower, diag, upper):
+        self.bands = (lower.copy(), diag.copy(), upper.copy())
+        self.ab = _banded(lower, diag, upper)
+
+    def solve(self, rhs):
+        return solve_banded((1, 1), self.ab, rhs)
+
+
+_MARKET = MarketParams.risk_neutral(1.3, 0.05, 0.02, 0.25)
+_FP_T = 0.7
+_FP_SPEC = default_grid(_MARKET, _FP_T, n_points=801, n_time_steps=300)
+_OPTIONS = (pricing.OptionSpec("call", 1.1, 0.7), pricing.OptionSpec("put", 1.6, 2.0))
+
+
+def _grid_solver_runs():
+    """Fresh evolve_density and pde_price calls: the FP run, then a call and a put."""
+    initial = point_mass_density(_FP_SPEC.points(), math.log(_MARKET.u0))
+    return (
+        lambda: evolve_density(initial, _MARKET, _FP_T, _FP_SPEC).weights,
+        *(lambda opt=opt: pricing.pde_price(_MARKET, opt) for opt in _OPTIONS),
+    )
+
+
+def _fp_banded_lhs():
+    """I - dt/2 L of the FP run, assembled as the per-step solve_banded code did."""
+    n = _FP_SPEC.n_points
+    points = _FP_SPEC.points()
+    h = (points[-1] - points[0]) / (n - 1)
+    dt = _FP_T / max(1, math.ceil(_FP_T / _FP_SPEC.dt_step - 1e-12))
+    lower, diag, upper = _operator_diagonals(
+        _MARKET.log_drift, 0.5 * _MARKET.sigma * _MARKET.sigma, h, n
+    )
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * lower[1:]
+    return ab
+
+
+def _pde_banded_lhs(opt):
+    """I - dtau/2 L of pde_price on its default grid, assembled as the
+    per-step solve_banded code did."""
+    grid = pricing.default_pde_grid(_MARKET, opt)
+    x, n = grid.points(), grid.n_points
+    h = float(x[1] - x[0])
+    dtau = opt.expiry / max(1, math.ceil(opt.expiry / grid.dt_step - 1e-12))
+    diffusion = 0.5 * _MARKET.sigma * _MARKET.sigma
+    nu = _MARKET.log_drift
+    lower_c = diffusion / (h * h) - 0.5 * nu / h
+    diag_c = -2.0 * diffusion / (h * h) - _MARKET.drift_d
+    upper_c = diffusion / (h * h) + 0.5 * nu / h
+    theta_dt = 0.5 * dtau
+    ab = np.zeros((3, n))
+    ab[0, 2:] = -theta_dt * upper_c
+    ab[1, 1:-1] = 1.0 - theta_dt * diag_c
+    ab[2, :-2] = -theta_dt * lower_c
+    ab[1, 0] = 1.0
+    ab[1, -1] = 1.0
+    return ab
+
+
+def _patch_stepper(monkeypatch, cls):
+    monkeypatch.setattr(fokker_planck, "_TridiagonalLU", cls)
+    monkeypatch.setattr(pricing, "_TridiagonalLU", cls)
+
+
+class TestTridiagonalLU:
+    @pytest.mark.parametrize("n", [3, 4, 17, 1601])
+    @pytest.mark.parametrize("pivoting", [False, True])
+    def test_bitwise_equal_to_solve_banded(self, n, pivoting):
+        rng = np.random.default_rng(1000 * n + pivoting)
+        lower = rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.uniform(-1.0, 1.0, n)
+        upper = rng.uniform(-1.0, 1.0, n - 1)
+        if pivoting:
+            lower *= 4.0  # |sub-diagonal| > |diagonal| forces row interchanges
+        else:
+            diag += 3.0
+        ipiv = dgttrf(lower, diag, upper)[4]
+        assert np.any(ipiv != np.arange(1, n + 1)) == pivoting
+        lu = _TridiagonalLU(lower, diag, upper)
+        ab = _banded(lower, diag, upper)
+        for _ in range(3):
+            rhs = rng.standard_normal(n)
+            expected = solve_banded((1, 1), ab, rhs)
+            assert same_bits(lu.solve(rhs.copy()), expected)
+
+    def test_solver_matrices_bitwise_equal_to_solve_banded(self, monkeypatch):
+        built = []
+
+        class Recorder(_PerStepBanded):
+            def __init__(self, *bands):
+                super().__init__(*bands)
+                built.append(self)
+
+        _patch_stepper(monkeypatch, Recorder)
+        for run in _grid_solver_runs():
+            run()
+        assert len(built) == 3
+        expected = [_fp_banded_lhs(), *(_pde_banded_lhs(opt) for opt in _OPTIONS)]
+        for ref, ab in zip(built, expected):
+            # Bands agree with the old assembly; ab[0, 0] and ab[2, -1] are unused.
+            assert same_bits(ref.ab[0, 1:], ab[0, 1:])
+            assert same_bits(ref.ab[1], ab[1])
+            assert same_bits(ref.ab[2, :-1], ab[2, :-1])
+        rng = np.random.default_rng(3)
+        for ref in built:
+            lu = _TridiagonalLU(*ref.bands)
+            rhs = rng.standard_normal(ref.bands[1].size)
+            assert same_bits(lu.solve(rhs.copy()), ref.solve(rhs))
+
+    def test_solvers_bitwise_equal_to_per_step_solve_banded(self, monkeypatch):
+        fast = [run() for run in _grid_solver_runs()]
+        _patch_stepper(monkeypatch, _PerStepBanded)
+        reference = [run() for run in _grid_solver_runs()]
+        assert same_bits(fast[0], reference[0])
+        for got, want in zip(fast[1:], reference[1:]):
+            assert same_bits(got.premium, want.premium)
+            assert same_bits(got.diagnostics["residual"], want.diagnostics["residual"])
+
+    def test_one_factorization_per_solver_call(self, monkeypatch):
+        factored = []
+
+        class Counting(_TridiagonalLU):
+            def __init__(self, *bands):
+                factored.append(bands[1].size)
+                super().__init__(*bands)
+
+        _patch_stepper(monkeypatch, Counting)
+        for run in _grid_solver_runs():
+            before = len(factored)
+            run()
+            assert len(factored) == before + 1
+
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_raises(self, band, bad):
+        bands = [np.full(4, 0.5), np.full(5, 2.0), np.full(4, 0.5)]
+        bands[band][1] = bad
+        with pytest.raises(NumericalError):
+            _TridiagonalLU(*bands)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        lu = _TridiagonalLU(np.full(4, 0.5), np.full(5, 2.0), np.full(4, 0.5))
+        rhs = np.ones(5)
+        rhs[2] = bad
+        with pytest.raises(NumericalError):
+            lu.solve(rhs)
+
+    def test_singular_matrix_raises(self):
+        # Row 1 is all zeros.
+        with pytest.raises(NumericalError):
+            _TridiagonalLU(np.array([0.0, 1.0]), np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0]))

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from entropic_fx import (
     std_normal_cdf,
 )
 
-from conftest import BATTERY, battery_case
+from conftest import BATTERY, battery_case, same_bits
 
 # Frozen oracle values for the standard case u0=1, K=1, rd=0.05, rf=0.02,
 # sigma=0.2, T=1, computed with 40-digit arithmetic.
@@ -143,6 +145,33 @@ class TestClosedForm:
         with pytest.raises(MeasureError):
             gk_call(physical, OptionSpec("call", 1.0, 1.0))
 
+    @given(
+        market=market_strategy,
+        strike_ratio=st.floats(min_value=0.2, max_value=5.0),
+        expiry=st.floats(min_value=0.05, max_value=8.0),
+        kind=st.sampled_from(["call", "put"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_signed_formula_matches_per_kind_forms(
+        self, market, strike_ratio, expiry, kind
+    ):
+        # The separate call and put formulas, in their own operation order.
+        opt = OptionSpec(kind, strike_ratio * market.u0, expiry)
+        d1, d2 = d1_d2(market, opt)
+        spot = market.u0 * math.exp(-market.drift_f * expiry)
+        strike = opt.strike * math.exp(-market.drift_d * expiry)
+        if kind == "call":
+            expected = spot * std_normal_cdf(d1) - strike * std_normal_cdf(d2)
+        else:
+            expected = strike * std_normal_cdf(-d2) - spot * std_normal_cdf(-d1)
+        assert same_bits(closed_form_price(market, opt).premium, expected)
+
+    def test_put_with_cancelling_legs_is_positive_zero(self):
+        # Both legs underflow to 0; the premium must not come out as -0.0.
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 1e-8)
+        premium = gk_put(market, OptionSpec("put", 0.5, 1.0)).premium
+        assert same_bits(premium, 0.0)
+
     def test_deep_itm_call_approaches_forward_value(self):
         # K -> 0: the call is just the discounted foreign-currency spot.
         market = self.std()
@@ -223,6 +252,42 @@ class TestParity:
             f"parity residual {residual!r} exceeds {bound!r} for "
             f"u0={market.u0}, K={strike}, T={expiry}"
         )
+
+    @given(
+        market=market_strategy,
+        strike_ratio=st.floats(min_value=0.3, max_value=3.0),
+        expiry=st.floats(min_value=0.05, max_value=8.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_closed_form_prices_bitwise(self, market, strike_ratio, expiry):
+        strike = market.u0 * strike_ratio
+        call = gk_call(market, OptionSpec("call", strike, expiry)).premium
+        put = gk_put(market, OptionSpec("put", strike, expiry)).premium
+        forward_leg = market.u0 * math.exp(
+            -market.drift_f * expiry
+        ) - strike * math.exp(-market.drift_d * expiry)
+        assert same_bits(
+            parity_residual(market, strike, expiry), call - put - forward_leg
+        )
+
+    @pytest.mark.parametrize(
+        "strike, expiry",
+        [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+         (1.0, 0.0), (1.0, -2.0), (1.0, math.inf)],
+    )
+    def test_contract_validation(self, strike, expiry):
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
+        with pytest.raises(DomainError):
+            parity_residual(market, strike, expiry)
+        # A bad contract is reported before a physical measure.
+        physical = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
+        with pytest.raises(DomainError):
+            parity_residual(physical, strike, expiry)
+
+    def test_physical_measure_rejected(self):
+        physical = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
+        with pytest.raises(MeasureError):
+            parity_residual(physical, 1.0, 1.0)
 
     def test_quadrature_parity(self):
         # Parity holds across routes, not only inside the closed form.
@@ -473,6 +538,17 @@ class TestPde:
         grid = FPGridSpec(-0.2, 3.0, 801, dt_step=1.0 / 400)
         with pytest.raises(GridTooNarrow):
             pde_price(market, opt, grid)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_grid_past_exp_overflow_rejected(self, kind):
+        # sigma = 30 puts the default grid's upper bound near 750 > ln(float max).
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
+        opt = OptionSpec(kind, 1.0, 1.0)
+        assert default_pde_grid(market, opt).x_max > math.log(sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="x_max"):
+                pde_price(market, opt)
 
     def test_default_grid_satisfies_guards(self):
         for row in BATTERY:
