@@ -8,7 +8,9 @@ invariance automatic.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -19,6 +21,11 @@ from .errors import DomainError
 PHYSICAL = "physical"
 RISK_NEUTRAL = "risk_neutral"
 _MEASURES = (PHYSICAL, RISK_NEUTRAL)
+
+# The Monte Carlo kernels draw and transform this many float64 values
+# (512 KiB) at a time in one reused buffer per partition, so their
+# temporaries cost one chunk rather than one full-size array per operation.
+_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,28 @@ def partition_rng(seed: int, partition: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, partition)))
 
 
+def _run_partitions(n_items: int, n_partitions: int, fill) -> None:
+    """Call ``fill(k, lo, hi)`` for each non-empty partition k of n_items.
+
+    Partition k owns the contiguous slice [lo, hi) and its own stream, so
+    the result depends on the partition count, never on the schedule.  One
+    partition runs inline; more run on a thread pool with at most one
+    worker per core.
+    """
+    bounds = [0, *itertools.accumulate(_partition_sizes(n_items, n_partitions))]
+
+    def run(k: int) -> None:
+        if bounds[k] < bounds[k + 1]:
+            fill(k, bounds[k], bounds[k + 1])
+
+    if n_partitions == 1:
+        run(0)
+    else:
+        workers = min(n_partitions, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(n_partitions)))
+
+
 def simulate_paths(
     params: MarketParams,
     horizon: float,
@@ -186,22 +215,24 @@ def simulate_paths(
 
     log_paths = np.empty((n_paths, n_steps + 1))
     log_paths[:, 0] = x0
-    sizes = _partition_sizes(n_paths, n_partitions)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows = max(1, _CHUNK // n_steps)
 
-    def fill(k: int) -> None:
-        lo, hi = offsets[k], offsets[k + 1]
-        if lo == hi:
-            return
-        z = partition_rng(seed, k).standard_normal((hi - lo, n_steps))
-        increments = step_mean + step_sd * z
-        log_paths[lo:hi, 1:] = x0 + np.cumsum(increments, axis=1)
+    def fill(k: int, lo: int, hi: int) -> None:
+        # x0 + cumsum(step_mean + step_sd * z) for a block of rows at a time;
+        # each operation is the one-shot formula's, commuted at most.
+        rng = partition_rng(seed, k)
+        z = np.empty((min(rows, hi - lo), n_steps))
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            zb = z[: b - a]
+            block = log_paths[a:b, 1:]
+            rng.standard_normal(out=zb)
+            zb *= step_sd
+            zb += step_mean
+            np.cumsum(zb, axis=1, out=block)
+            block += x0
 
-    if n_partitions == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(max_workers=n_partitions) as pool:
-            list(pool.map(fill, range(n_partitions)))
+    _run_partitions(n_paths, n_partitions, fill)
 
     times = np.linspace(0.0, horizon, n_steps + 1)
     return PathSet(

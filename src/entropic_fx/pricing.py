@@ -17,9 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
+    _CHUNK,
     RISK_NEUTRAL,
     MarketParams,
-    _partition_sizes,
+    _run_partitions,
     log_coordinate,
     partition_rng,
     simulate_paths,
@@ -77,6 +78,14 @@ class OptionSpec:
         else:
             out = np.maximum(self.strike - rate, 0.0)
         return float(out) if out.ndim == 0 else out
+
+    def _payoff_in_place(self, rate: np.ndarray) -> np.ndarray:
+        """payoff() by the same operations, overwriting a float array of rates."""
+        if self.kind == CALL:
+            np.subtract(rate, self.strike, out=rate)
+        else:
+            np.subtract(self.strike, rate, out=rate)
+        return np.maximum(rate, 0.0, out=rate)
 
 
 @dataclass(frozen=True)
@@ -314,27 +323,41 @@ def mc_price(
         raise DomainError("antithetic sampling requires n_steps = 1")
     if antithetic and n_paths % 2 != 0:
         raise DomainError("antithetic sampling requires an even n_paths")
+    if antithetic and n_paths < 4:
+        # One pair is one sample, which leaves no degree of freedom for
+        # the standard error.
+        raise DomainError("antithetic sampling requires n_paths of at least 4")
 
     t = opt.expiry
     discount = math.exp(-params.drift_d * t)
 
     if n_steps > 1:
         paths = simulate_paths(params, t, n_steps, n_paths, seed, n_partitions)
-        samples = opt.payoff(np.exp(paths.terminal_log))
+        samples = opt._payoff_in_place(np.exp(paths.terminal_log))
     else:
         mean = log_coordinate(params.u0) + params.log_drift * t
         sd = params.sigma * math.sqrt(t)
-        n_draws = n_paths // 2 if antithetic else n_paths
-        sizes = _partition_sizes(n_draws, n_partitions)
-        z = np.concatenate(
-            [partition_rng(seed, k).standard_normal(n) for k, n in enumerate(sizes)]
-        )
-        if antithetic:
-            up = opt.payoff(np.exp(mean + sd * z))
-            dn = opt.payoff(np.exp(mean - sd * z))
-            samples = 0.5 * (up + dn)
-        else:
-            samples = opt.payoff(np.exp(mean + sd * z))
+        samples = np.empty(n_paths // 2 if antithetic else n_paths)
+
+        def fill(k: int, lo: int, hi: int) -> None:
+            # Each chunk of draws becomes its samples in place, by the
+            # operations of payoff(exp(mean +/- sd * z)) and 0.5 * (up + dn).
+            rng = partition_rng(seed, k)
+            mirror = np.empty(min(_CHUNK, hi - lo)) if antithetic else None
+            for a in range(lo, hi, _CHUNK):
+                up = samples[a : min(a + _CHUNK, hi)]
+                rng.standard_normal(out=up)
+                up *= sd
+                if antithetic:
+                    dn = np.subtract(mean, up, out=mirror[: up.size])
+                up += mean
+                opt._payoff_in_place(np.exp(up, out=up))
+                if antithetic:
+                    opt._payoff_in_place(np.exp(dn, out=dn))
+                    up += dn
+                    up *= 0.5
+
+        _run_partitions(samples.size, n_partitions, fill)
 
     n = samples.size
     premium = discount * float(np.mean(samples))

@@ -177,6 +177,17 @@ class TestPriceCommand:
         [line] = proc.stderr.splitlines()  # the JSON error and no warning
         assert json.loads(line)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("method", ["monte_carlo", "all"])
+    def test_single_antithetic_pair_exits_2(self, method):
+        # One pair is one sample: its standard error would be NaN.
+        proc = run_cli(
+            "price", *STD_FLAGS, "--method", method, "--n-paths", "2"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()  # the JSON error and no warning
+        assert json.loads(line)["error"] == "DomainError"
+
     def test_partial_grid_override_exits_2(self):
         proc = run_cli("price", *STD_FLAGS, "--method", "pde", "--x-min", "-2.0")
         assert proc.returncode == 2

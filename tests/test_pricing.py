@@ -479,6 +479,19 @@ class TestMonteCarlo:
         with pytest.raises(MeasureError):
             mc_price(physical, OptionSpec("call", 1.0, 1.0), n_paths=100, seed=0)
 
+    def test_antithetic_needs_two_pairs(self):
+        # One pair is one sample and leaves ddof=1 no degree of freedom.
+        opt = OptionSpec("call", 1.0, 1.0)
+        with pytest.raises(DomainError):
+            mc_price(self.std(), opt, n_paths=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            two_pairs = mc_price(self.std(), opt, n_paths=4, seed=0)
+            two_plain = mc_price(self.std(), opt, n_paths=2, seed=0, antithetic=False)
+        assert two_pairs.diagnostics["n_samples"] == 2
+        assert math.isfinite(two_pairs.std_error)
+        assert math.isfinite(two_plain.std_error)
+
 
 class TestPde:
     def std(self):
