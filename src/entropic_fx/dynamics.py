@@ -23,8 +23,8 @@ RISK_NEUTRAL = "risk_neutral"
 _MEASURES = (PHYSICAL, RISK_NEUTRAL)
 
 # The Monte Carlo kernels draw and transform this many float64 values
-# (512 KiB) at a time in one reused buffer per partition, so their
-# temporaries cost one chunk rather than one full-size array per operation.
+# (512 KiB) at a time, in place, so each partition's temporaries take one
+# chunk-sized buffer rather than one full-size array per operation.
 _CHUNK = 65_536
 
 

@@ -308,7 +308,8 @@ def mc_price(
     Gaussian step; larger n_steps walks the full path (still exact in
     law).  Antithetic variates pair each draw with its mirror image and
     average within pairs, which cancels the odd part of the payoff's
-    dependence on the noise.
+    dependence on the noise; each pair is one sample, and the standard
+    error needs two.  More than one partition runs on a thread pool.
     """
     _require_risk_neutral(params)
     if n_paths < 2:

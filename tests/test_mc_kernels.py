@@ -28,10 +28,6 @@ MARKET = MarketParams.risk_neutral(1.1, 0.04, 0.015, 0.3)
 PHYSICAL = MarketParams(u0=0.9, drift_d=0.03, drift_f=0.05, sigma=0.25)
 
 
-def _offsets(n, n_partitions):
-    return np.concatenate([[0], np.cumsum(_partition_sizes(n, n_partitions))])
-
-
 def reference_log_paths(params, horizon, n_steps, n_paths, seed, n_partitions):
     """simulate_paths' log_paths from one standard_normal per partition."""
     dt = horizon / n_steps
@@ -40,7 +36,7 @@ def reference_log_paths(params, horizon, n_steps, n_paths, seed, n_partitions):
     x0 = math.log(params.u0)
     log_paths = np.empty((n_paths, n_steps + 1))
     log_paths[:, 0] = x0
-    offsets = _offsets(n_paths, n_partitions)
+    offsets = np.concatenate([[0], np.cumsum(_partition_sizes(n_paths, n_partitions))])
     for k in range(n_partitions):
         lo, hi = offsets[k], offsets[k + 1]
         if lo == hi:
