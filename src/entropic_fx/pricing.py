@@ -334,7 +334,7 @@ def mc_price(
 
     if n_steps > 1:
         paths = simulate_paths(params, t, n_steps, n_paths, seed, n_partitions)
-        samples = opt._payoff_in_place(np.exp(paths.terminal_log))
+        samples = opt.payoff(np.exp(paths.terminal_log))
     else:
         mean = log_coordinate(params.u0) + params.log_drift * t
         sd = params.sigma * math.sqrt(t)

@@ -1,23 +1,21 @@
-"""Record benchmark runs of one or more checkouts into a BENCH JSON file.
+"""Record alternating parent/change benchmark runs into a BENCH JSON file.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_record.py --out BENCH_<n>.json --workload mc_paths \\
-        --seed 7301 --runs 10 --tree parent=../parent --tree change=.
+    python3 tools/bench_record.py --out BENCH_<n>.json --seed 7301 --runs 10 \\
+        --parent ../parent --change . --workload mc_paths --workload cli_mix
 
-For each workload and each of the N rounds it runs, in every tree,
+For each workload it runs N pairs, parent first in even pairs and change
+first in odd ones, of
 
     python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
 
-Round i starts with tree i mod T, so with two trees the order alternates
-pair by pair.  It keeps the environment line and the result line that
-``run.py`` prints for every run, the git sha of each tree, and for each
-end-to-end metric in BENCHMARK.json the median and quartiles of every
-tree.  With exactly two trees it also counts, per metric, the rounds in
-which the second tree read better than the first.
-
-The output file is updated in place: workloads recorded before keep their
-entries unless recorded again.  Nothing under ``bench/`` is changed.
+in each checkout.  It writes, once all runs are done, the environment line
+and the result line that ``run.py`` prints for every run, the git sha of
+both checkouts, and for each end-to-end metric in BENCHMARK.json the
+median and quartiles of both sides, the pairs the change won, the change
+in median and the parent's interquartile range.  Nothing under ``bench/``
+is changed.
 """
 
 from __future__ import annotations
@@ -31,7 +29,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_SECONDS = 30
 RUN_TIMEOUT_S = 600
+SIDES = ("parent", "change")
 
 
 def git_sha(tree: Path) -> str | None:
@@ -42,9 +42,13 @@ def git_sha(tree: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_command(workload: str, seed: int) -> list[str]:
+    return ["bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(RUN_SECONDS), "--trace", "0"]
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, *run_command(workload, seed)]
     start = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
@@ -56,31 +60,27 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(runs: list[dict], labels: list[str], metrics: list[dict]) -> dict:
-    def values(label: str, name: str) -> list[float]:
-        return [r["result"]["metrics"][name]["value"] for r in runs if r["tree"] == label]
-
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for metric in metrics:
         name = metric["name"]
-        entry = {label: quartiles(values(label, name)) for label in labels}
-        if len(labels) == 2:
-            base, new = (values(label, name) for label in labels)
-            sign = 1.0 if metric["better"] == "higher" else -1.0
-            base_median, new_median = entry[labels[0]]["median"], entry[labels[1]]["median"]
-            entry["comparison"] = {
-                "better": metric["better"],
-                "bound": metric["bound"],
-                f"{labels[1]}_wins": sum(sign * (b - a) > 0 for a, b in zip(base, new)),
-                "pairs": min(len(base), len(new)),
-                "median_change": (new_median - base_median) / base_median if base_median else None,
-                f"{labels[0]}_iqr": entry[labels[0]]["q3"] - entry[labels[0]]["q1"],
-            }
+        parent, change = ([p[side]["result"]["metrics"][name]["value"] for p in pairs]
+                          for side in SIDES)
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        entry = {"parent": quartiles(parent), "change": quartiles(change)}
+        base = entry["parent"]["median"]
+        entry["comparison"] = {
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+            "pairs": len(pairs),
+            "median_change": (entry["change"]["median"] - base) / base if base else None,
+            "parent_iqr": entry["parent"]["q3"] - entry["parent"]["q1"],
+        }
         summary[name] = entry
     return summary
 
@@ -90,45 +90,36 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--runs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--tree", action="append", required=True,
-                        help="LABEL=PATH of a checkout to run; repeat for each tree")
+    parser.add_argument("--runs", type=int, required=True, help="pairs per workload")
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     args = parser.parse_args(argv)
-
-    trees = {}
-    for item in args.tree:
-        label, sep, path = item.partition("=")
-        if not sep or not label or label in trees:
-            parser.error(f"--tree wants a new LABEL=PATH, got {item!r}")
-        trees[label] = Path(path).resolve()
-    labels = list(trees)
+    if args.runs < 2:
+        parser.error("--runs must be at least 2 for quartiles")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("workloads", {})
-    record["trees"] = {**record.get("trees", {}),
-                       **{label: {"git_sha": git_sha(path)} for label, path in trees.items()}}
-
+    workloads = {}
     for workload in args.workload:
-        runs = []
+        pairs = []
         for i in range(args.runs):
-            for j in range(len(labels)):
-                label = labels[(i + j) % len(labels)]
-                run = run_once(trees[label], workload, args.seed, args.seconds)
-                runs.append({"tree": label, "round": i, "position": j, **run})
-                result = run["result"]["metrics"]
-                print(f"{workload} round {i} {label}: "
+            pair = {"first": SIDES[i % 2]}
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                pair[side] = run_once(trees[side], workload, args.seed)
+                result = pair[side]["result"]["metrics"]
+                print(f"{workload} pair {i} {side}: "
                       + ", ".join(f"{k}={v['value']:.4g}" for k, v in result.items()),
                       file=sys.stderr, flush=True)
-        record["workloads"][workload] = {
-            "command": (f"python3 bench/run.py --workload {workload} --seed {args.seed} "
-                        f"--seconds {args.seconds:g} --trace 0"),
-            "trees": labels,
-            "runs": runs,
-            "summary": summarize(runs, labels, metrics),
+            pairs.append(pair)
+        workloads[workload] = {
+            "command": "python3 " + " ".join(run_command(workload, args.seed)),
+            "pairs": pairs,
+            "summary": summarize(pairs, metrics),
         }
-        args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+    record = {"trees": {side: {"git_sha": git_sha(path)} for side, path in trees.items()},
+              "workloads": workloads}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
