@@ -2,7 +2,9 @@
 
 Subcommands: price, parity, simulate, fokker-planck, maxent-check.
 Settings resolve in precedence order: command-line flags, then a JSON
-config file given with --config, then documented defaults.  Configuration
+config file given with --config, then documented defaults.  Each setting
+is declared once, in the _SCHEMAS table: it builds every subcommand's
+flags and checks the config file's keys, types and choices.  Configuration
 and domain errors exit with code 2, numerical failures with code 3.
 """
 
@@ -44,90 +46,92 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()
+_MEASURES = (PHYSICAL, RISK_NEUTRAL)
 
-# Per-subcommand setting names, types, and defaults.  _REQUIRED means the
-# key must come from a flag or the config file.
-_SCHEMAS: dict[str, dict[str, tuple[type, Any]]] = {
+
+def _market(measure: str, u0=_REQUIRED, rd=_REQUIRED, rf=_REQUIRED, sigma=_REQUIRED):
+    """Spot, drifts, volatility and measure, with one subcommand's defaults."""
+    return {
+        "u0": (float, u0, "spot exchange rate"),
+        "rd": (float, rd, "domestic rate or drift"),
+        "rf": (float, rf, "foreign rate or drift"),
+        "sigma": (float, sigma, "volatility"),
+        "measure": (str, measure, _MEASURES),
+    }
+
+
+_OPTION = {"strike": (float, _REQUIRED, None), "expiry": (float, _REQUIRED, None)}
+
+# Every setting of every subcommand, declared once: name -> (type, default,
+# choices or help).  A tuple is the value's allowed choices, a string its
+# help text.  _REQUIRED means the key must come from a flag or the config
+# file.  build_parser makes one flag per entry, in this order, and
+# resolve_settings checks config-file values against the same types and
+# choices.
+_SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
     "price": {
-        "u0": (float, _REQUIRED),
-        "strike": (float, _REQUIRED),
-        "rd": (float, _REQUIRED),
-        "rf": (float, _REQUIRED),
-        "sigma": (float, _REQUIRED),
-        "expiry": (float, _REQUIRED),
-        "kind": (str, _REQUIRED),
-        "method": (str, "closed_form"),
-        "measure": (str, RISK_NEUTRAL),
-        "n_paths": (int, 100_000),
-        "seed": (int, 0),
-        "antithetic": (bool, True),
-        "mc_steps": (int, 1),
-        "tol": (float, 1e-10),
-        "n_points": (int, 1601),
-        "n_time_steps": (int, 400),
-        "x_min": (float, None),
-        "x_max": (float, None),
-        "threads": (int, None),
+        **_market(RISK_NEUTRAL),
+        **_OPTION,
+        "kind": (str, _REQUIRED, (pricing.CALL, pricing.PUT)),
+        "method": (
+            str, "closed_form", ("closed_form", "quadrature", "monte_carlo", "pde", "all")
+        ),
+        "n_paths": (int, 100_000, None),
+        "seed": (int, 0, None),
+        "antithetic": (bool, True, None),
+        "mc_steps": (int, 1, None),
+        "tol": (float, 1e-10, "quadrature tolerance, relative to max(1, u0, strike)"),
+        "n_points": (int, 1601, None),
+        "n_time_steps": (int, 400, None),
+        "x_min": (float, None, "PDE grid override"),
+        "x_max": (float, None, "PDE grid override"),
+        "threads": (int, None, None),
     },
     "parity": {
-        "u0": (float, _REQUIRED),
-        "strike": (float, _REQUIRED),
-        "rd": (float, _REQUIRED),
-        "rf": (float, _REQUIRED),
-        "sigma": (float, _REQUIRED),
-        "expiry": (float, _REQUIRED),
-        "measure": (str, RISK_NEUTRAL),
-        "sweep": (int, 0),
-        "sweep_seed": (int, 0),
+        **_market(RISK_NEUTRAL),
+        **_OPTION,
+        "sweep": (int, 0, "number of random parity cases"),
+        "sweep_seed": (int, 0, None),
     },
     "simulate": {
-        "u0": (float, _REQUIRED),
-        "rd": (float, _REQUIRED),
-        "rf": (float, _REQUIRED),
-        "sigma": (float, _REQUIRED),
-        "horizon": (float, _REQUIRED),
-        "measure": (str, PHYSICAL),
-        "n_steps": (int, 100),
-        "n_paths": (int, 1000),
-        "seed": (int, 0),
-        "threads": (int, None),
-        "output": (str, None),
+        **_market(PHYSICAL),
+        "horizon": (float, _REQUIRED, None),
+        "n_steps": (int, 100, None),
+        "n_paths": (int, 1000, None),
+        "seed": (int, 0, None),
+        "threads": (int, None, None),
+        "output": (str, None, "write CSV here instead of stdout"),
     },
     "fokker-planck": {
-        "u0": (float, 1.0),
-        "rd": (float, 0.05),
-        "rf": (float, 0.02),
-        "sigma": (float, 0.2),
-        "t": (float, 1.0),
-        "measure": (str, PHYSICAL),
-        "n_points": (int, 2001),
-        "n_time_steps": (int, 1000),
-        "x_min": (float, None),
-        "x_max": (float, None),
-        "output": (str, None),
+        **_market(PHYSICAL, u0=1.0, rd=0.05, rf=0.02, sigma=0.2),
+        "t": (float, 1.0, "evolution horizon"),
+        "n_points": (int, 2001, None),
+        "n_time_steps": (int, 1000, None),
+        "x_min": (float, None, "grid override"),
+        "x_max": (float, None, "grid override"),
+        "output": (str, None, "write CSV here instead of stdout"),
     },
     "maxent-check": {
-        "k": (float, 0.04),
-        "k_prime": (float, 0.01),
-        "spacing": (float, 1e-3),
-        "extent_sigmas": (float, 10.0),
-        "tol": (float, 1e-12),
-        "max_iter": (int, 100),
-        "bound": (float, 1e-6),
-        "empty_constraints": (bool, False),
+        "k": (float, 0.04, "prior variance"),
+        "k_prime": (float, 0.01, "target variance"),
+        "spacing": (float, 1e-3, "grid spacing"),
+        "extent_sigmas": (float, 10.0, None),
+        "tol": (float, 1e-12, None),
+        "max_iter": (int, 100, None),
+        "bound": (float, 1e-6, "allowed variance mismatch"),
+        "empty_constraints": (
+            bool, False, "check that no constraints returns the prior unchanged"
+        ),
     },
 }
 
-
-def _add_market_flags(p: argparse.ArgumentParser, with_option: bool) -> None:
-    p.add_argument("--u0", type=float, help="spot exchange rate")
-    p.add_argument("--rd", type=float, help="domestic rate or drift")
-    p.add_argument("--rf", type=float, help="foreign rate or drift")
-    p.add_argument("--sigma", type=float, help="volatility")
-    p.add_argument("--measure", choices=[PHYSICAL, RISK_NEUTRAL])
-    if with_option:
-        p.add_argument("--strike", type=float)
-        p.add_argument("--expiry", type=float)
+_COMMAND_HELP = {
+    "price": "price a European FX option",
+    "parity": "put-call parity residual of the closed form",
+    "simulate": "simulate GBM log-rate paths, CSV output",
+    "fokker-planck": "evolve the log-rate density, CSV output",
+    "maxent-check": "variance-tilt round trip for the dual solver",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,72 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maximum-entropy FX dynamics and option pricing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, schema in _SCHEMAS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
         p.add_argument("--config", help="JSON file with default settings")
-        return p
-
-    p = add("price", "price a European FX option")
-    _add_market_flags(p, with_option=True)
-    p.add_argument("--kind", choices=[pricing.CALL, pricing.PUT])
-    p.add_argument(
-        "--method",
-        choices=["closed_form", "quadrature", "monte_carlo", "pde", "all"],
-    )
-    p.add_argument("--n-paths", type=int, dest="n_paths")
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--no-antithetic", action="store_const", const=False, dest="antithetic"
-    )
-    p.add_argument("--mc-steps", type=int, dest="mc_steps")
-    p.add_argument(
-        "--tol", type=float, help="quadrature tolerance, relative to max(1, u0, strike)"
-    )
-    p.add_argument("--n-points", type=int, dest="n_points")
-    p.add_argument("--n-time-steps", type=int, dest="n_time_steps")
-    p.add_argument("--x-min", type=float, dest="x_min", help="PDE grid override")
-    p.add_argument("--x-max", type=float, dest="x_max", help="PDE grid override")
-    p.add_argument("--threads", type=int)
-
-    p = add("parity", "put-call parity residual of the closed form")
-    _add_market_flags(p, with_option=True)
-    p.add_argument("--sweep", type=int, help="number of random parity cases")
-    p.add_argument("--sweep-seed", type=int, dest="sweep_seed")
-
-    p = add("simulate", "simulate GBM log-rate paths, CSV output")
-    _add_market_flags(p, with_option=False)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-steps", type=int, dest="n_steps")
-    p.add_argument("--n-paths", type=int, dest="n_paths")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--output", help="write CSV here instead of stdout")
-
-    p = add("fokker-planck", "evolve the log-rate density, CSV output")
-    _add_market_flags(p, with_option=False)
-    p.add_argument("--t", type=float, help="evolution horizon")
-    p.add_argument("--n-points", type=int, dest="n_points")
-    p.add_argument("--n-time-steps", type=int, dest="n_time_steps")
-    p.add_argument("--x-min", type=float, dest="x_min", help="grid override")
-    p.add_argument("--x-max", type=float, dest="x_max", help="grid override")
-    p.add_argument("--output", help="write CSV here instead of stdout")
-
-    p = add("maxent-check", "variance-tilt round trip for the dual solver")
-    p.add_argument("--k", type=float, help="prior variance")
-    p.add_argument("--k-prime", type=float, dest="k_prime", help="target variance")
-    p.add_argument("--spacing", type=float, help="grid spacing")
-    p.add_argument("--extent-sigmas", type=float, dest="extent_sigmas")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--bound", type=float, help="allowed variance mismatch")
-    p.add_argument(
-        "--empty-constraints",
-        action="store_const",
-        const=True,
-        dest="empty_constraints",
-        help="check that no constraints returns the prior unchanged",
-    )
+        for name, (typ, default, extra) in schema.items():
+            flag = name.replace("_", "-")
+            kwargs = {"choices": extra} if isinstance(extra, tuple) else {"help": extra}
+            if typ is bool:
+                # A switch flips the default: --no-<name> or --<name>.
+                flag = f"no-{flag}" if default else flag
+                kwargs.update(action="store_const", const=not default)
+            else:
+                kwargs["type"] = typ
+            p.add_argument(f"--{flag}", dest=name, **kwargs)
     return parser
 
 
@@ -226,7 +177,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     schema = _SCHEMAS[args.command]
     file_cfg = _load_config_file(args.config, schema) if args.config else {}
     settings: dict[str, Any] = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, extra) in schema.items():
         value = getattr(args, key, None)
         if value is None and key in file_cfg:
             raw = file_cfg[key]
@@ -244,6 +195,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
                 if not isinstance(raw, str):
                     raise ConfigError(f"config key {key} must be a string")
                 value = raw
+            if isinstance(extra, tuple) and value not in extra:
+                raise ConfigError(f"config key {key} must be one of {extra}")
         if value is None:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key: {key}")
@@ -292,17 +245,20 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _pde_grid_from(settings: dict, opt) -> Optional[fp.FPGridSpec]:
-    x_min, x_max = settings.get("x_min"), settings.get("x_max")
+def _pde_grid_from(settings: dict, horizon: float) -> Optional[fp.FPGridSpec]:
+    """The grid given by x_min/x_max, or None to use the solver's default."""
+    x_min, x_max = settings["x_min"], settings["x_max"]
     if (x_min is None) != (x_max is None):
         raise ConfigError("x_min and x_max must be given together")
     if x_min is None:
         return None
+    if settings["n_time_steps"] < 1:
+        raise DomainError("n_time_steps must be at least 1")
     return fp.FPGridSpec(
         x_min=x_min,
         x_max=x_max,
         n_points=settings["n_points"],
-        dt_step=opt.expiry / settings["n_time_steps"],
+        dt_step=horizon / settings["n_time_steps"],
     )
 
 
@@ -321,7 +277,7 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt) -> pricin
             n_steps=settings["mc_steps"],
             n_partitions=_resolve_threads(settings),
         )
-    grid = _pde_grid_from(settings, opt)
+    grid = _pde_grid_from(settings, opt.expiry)
     if grid is None:
         grid = pricing.default_pde_grid(
             market, opt, settings["n_points"], settings["n_time_steps"]
@@ -400,20 +356,11 @@ def cmd_simulate(settings: dict) -> None:
 def cmd_fokker_planck(settings: dict) -> None:
     market = _market_from(settings)
     t = settings["t"]
-    if t is not None and not t > 0.0:
+    if not t > 0.0:
         raise DomainError("t must be positive")
-    x_min, x_max = settings["x_min"], settings["x_max"]
-    if (x_min is None) != (x_max is None):
-        raise ConfigError("x_min and x_max must be given together")
-    if x_min is None:
+    spec = _pde_grid_from(settings, t)
+    if spec is None:
         spec = fp.default_grid(market, t, settings["n_points"], settings["n_time_steps"])
-    else:
-        spec = fp.FPGridSpec(
-            x_min=x_min,
-            x_max=x_max,
-            n_points=settings["n_points"],
-            dt_step=t / settings["n_time_steps"],
-        )
     points = spec.points()
     initial = fp.point_mass_density(points, math.log(market.u0))
     evolved = fp.evolve_density(initial, market, t, spec)
@@ -435,7 +382,10 @@ def cmd_maxent_check(settings: dict) -> None:
     spacing = settings["spacing"]
     if not (spacing > 0.0 and math.isfinite(spacing)):
         raise DomainError("spacing must be positive and finite")
-    half = settings["extent_sigmas"] * math.sqrt(k)
+    extent_sigmas = settings["extent_sigmas"]
+    if not (extent_sigmas > 0.0 and math.isfinite(extent_sigmas)):
+        raise DomainError("extent_sigmas must be positive and finite")
+    half = extent_sigmas * math.sqrt(k)
     n = max(3, int(round(2.0 * half / spacing)) + 1)
     points = np.linspace(-half, half, n)
     prior = gaussian_density(points, 0.0, k)

@@ -162,22 +162,25 @@ def _run_partitions(n_items: int, n_partitions: int, fill) -> None:
     """Call ``fill(k, lo, hi)`` for each non-empty partition k of n_items.
 
     Partition k owns the contiguous slice [lo, hi) and its own stream, so
-    the result depends on the partition count, never on the schedule.  One
-    partition runs inline; more run on a thread pool with at most one
-    worker per core.
+    the result depends on the partition count, never on the schedule.  Only
+    the first min(n_partitions, n_items) partitions can be non-empty, so
+    only those are visited.  One such partition runs inline; more run on a
+    thread pool with at most one worker per core.
     """
-    bounds = [0, *itertools.accumulate(_partition_sizes(n_items, n_partitions))]
+    live = min(n_partitions, n_items)
+    # With more partitions than items, each of the first n_items partitions
+    # holds one item: the same sizes as splitting n_items into n_items parts.
+    bounds = [0, *itertools.accumulate(_partition_sizes(n_items, live))]
 
     def run(k: int) -> None:
-        if bounds[k] < bounds[k + 1]:
-            fill(k, bounds[k], bounds[k + 1])
+        fill(k, bounds[k], bounds[k + 1])
 
-    if n_partitions == 1:
+    if live == 1:
         run(0)
     else:
-        workers = min(n_partitions, os.cpu_count() or 1)
+        workers = min(live, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_partitions)))
+            list(pool.map(run, range(live)))
 
 
 def simulate_paths(

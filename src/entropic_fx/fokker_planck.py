@@ -61,6 +61,8 @@ def default_grid(
     """Grid centered on the log-rate mean at time t, ten sigmas wide."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError("t must be positive and finite")
+    if n_time_steps < 1:
+        raise DomainError("n_time_steps must be at least 1")
     center = log_coordinate(params.u0) + params.log_drift * t
     half = 10.0 * params.sigma * math.sqrt(t)
     return FPGridSpec(

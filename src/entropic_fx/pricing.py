@@ -388,6 +388,8 @@ def default_pde_grid(
     Centered between spot and strike, extended ten sigma*sqrt(T) plus the
     drift excursion on each side.
     """
+    if n_time_steps < 1:
+        raise DomainError("n_time_steps must be at least 1")
     x0 = log_coordinate(params.u0)
     ln_k = math.log(opt.strike)
     width = params.sigma * math.sqrt(opt.expiry)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from entropic_fx import PriceResult, density_from_csv
+from entropic_fx import cli
+from entropic_fx.cli import build_parser, resolve_settings
 
 STD_FLAGS = [
     "--u0", "1.0",
@@ -192,6 +194,21 @@ class TestPriceCommand:
         proc = run_cli("price", *STD_FLAGS, "--method", "pde", "--x-min", "-2.0")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[], ["--x-min", "-2", "--x-max", "2"]],
+        ids=["default_grid", "given_grid"],
+    )
+    @pytest.mark.parametrize("method", ["pde", "all"])
+    def test_zero_time_steps_exits_2(self, method, grid):
+        proc = run_cli(
+            "price", *STD_FLAGS, "--method", method, "--n-time-steps", "0", *grid
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
+
     def test_bad_threads_env_exits_2(self):
         proc = run_cli(
             "price", *STD_FLAGS, "--method", "monte_carlo",
@@ -249,6 +266,124 @@ class TestConfigFile:
         payload["sigma"] = "big"
         proc = run_cli("price", "--config", self.config(tmp_path, payload))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("kind", "straddle"), ("method", "Monte_Carlo"), ("measure", "historical")],
+    )
+    def test_value_outside_choices_exits_2(self, tmp_path, key, value):
+        # The config file is held to the same choices as the flag.
+        payload = self.base_payload()
+        payload[key] = value
+        proc = run_cli("price", "--config", self.config(tmp_path, payload))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+
+
+MARKET_ARGV = ["--u0", "1.1", "--rd", "0.03", "--rf", "0.01", "--sigma", "0.25"]
+MARKET_SETTINGS = {"u0": 1.1, "rd": 0.03, "rf": 0.01, "sigma": 0.25}
+
+# Per subcommand: an argv that sets every flag and the settings it resolves
+# to, then an argv of the required settings only and the settings it
+# resolves to, i.e. the documented defaults.
+SETTINGS_SURFACE = {
+    "price": (
+        [*MARKET_ARGV, "--measure", "physical", "--strike", "1.2",
+         "--expiry", "0.5", "--kind", "put", "--method", "pde",
+         "--n-paths", "5000", "--seed", "7", "--no-antithetic",
+         "--mc-steps", "3", "--tol", "1e-9", "--n-points", "801",
+         "--n-time-steps", "200", "--x-min", "-2", "--x-max", "2.5",
+         "--threads", "2"],
+        {**MARKET_SETTINGS, "measure": "physical", "strike": 1.2,
+         "expiry": 0.5, "kind": "put", "method": "pde", "n_paths": 5000,
+         "seed": 7, "antithetic": False, "mc_steps": 3, "tol": 1e-9,
+         "n_points": 801, "n_time_steps": 200, "x_min": -2.0, "x_max": 2.5,
+         "threads": 2},
+        [*MARKET_ARGV, "--strike", "1.2", "--expiry", "0.5", "--kind", "call"],
+        {**MARKET_SETTINGS, "measure": "risk_neutral", "strike": 1.2,
+         "expiry": 0.5, "kind": "call", "method": "closed_form",
+         "n_paths": 100_000, "seed": 0, "antithetic": True, "mc_steps": 1,
+         "tol": 1e-10, "n_points": 1601, "n_time_steps": 400, "x_min": None,
+         "x_max": None, "threads": None},
+    ),
+    "parity": (
+        [*MARKET_ARGV, "--measure", "physical", "--strike", "1.2",
+         "--expiry", "0.5", "--sweep", "10", "--sweep-seed", "3"],
+        {**MARKET_SETTINGS, "measure": "physical", "strike": 1.2,
+         "expiry": 0.5, "sweep": 10, "sweep_seed": 3},
+        [*MARKET_ARGV, "--strike", "1.2", "--expiry", "0.5"],
+        {**MARKET_SETTINGS, "measure": "risk_neutral", "strike": 1.2,
+         "expiry": 0.5, "sweep": 0, "sweep_seed": 0},
+    ),
+    "simulate": (
+        [*MARKET_ARGV, "--measure", "risk_neutral", "--horizon", "2",
+         "--n-steps", "12", "--n-paths", "30", "--seed", "5",
+         "--threads", "3", "--output", "paths.csv"],
+        {**MARKET_SETTINGS, "measure": "risk_neutral", "horizon": 2.0,
+         "n_steps": 12, "n_paths": 30, "seed": 5, "threads": 3,
+         "output": "paths.csv"},
+        [*MARKET_ARGV, "--horizon", "2"],
+        {**MARKET_SETTINGS, "measure": "physical", "horizon": 2.0,
+         "n_steps": 100, "n_paths": 1000, "seed": 0, "threads": None,
+         "output": None},
+    ),
+    "fokker-planck": (
+        [*MARKET_ARGV, "--measure", "risk_neutral", "--t", "0.5",
+         "--n-points", "301", "--n-time-steps", "50", "--x-min", "-1",
+         "--x-max", "1", "--output", "density.csv"],
+        {**MARKET_SETTINGS, "measure": "risk_neutral", "t": 0.5,
+         "n_points": 301, "n_time_steps": 50, "x_min": -1.0, "x_max": 1.0,
+         "output": "density.csv"},
+        [],
+        {"u0": 1.0, "rd": 0.05, "rf": 0.02, "sigma": 0.2,
+         "measure": "physical", "t": 1.0, "n_points": 2001,
+         "n_time_steps": 1000, "x_min": None, "x_max": None, "output": None},
+    ),
+    "maxent-check": (
+        ["--k", "0.09", "--k-prime", "0.02", "--spacing", "0.002",
+         "--extent-sigmas", "8", "--tol", "1e-11", "--max-iter", "50",
+         "--bound", "1e-5", "--empty-constraints"],
+        {"k": 0.09, "k_prime": 0.02, "spacing": 0.002, "extent_sigmas": 8.0,
+         "tol": 1e-11, "max_iter": 50, "bound": 1e-5,
+         "empty_constraints": True},
+        [],
+        {"k": 0.04, "k_prime": 0.01, "spacing": 1e-3, "extent_sigmas": 10.0,
+         "tol": 1e-12, "max_iter": 100, "bound": 1e-6,
+         "empty_constraints": False},
+    ),
+}
+
+
+class TestSettingsSurface:
+    """Each subcommand's flags, defaults and value types, checked in process."""
+
+    @staticmethod
+    def resolve(command, argv):
+        return resolve_settings(build_parser().parse_args([command, *argv]))
+
+    @staticmethod
+    def assert_settings(got, want):
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in want.items()
+        }
+
+    def test_covers_every_subcommand(self):
+        assert sorted(cli._COMMANDS) == sorted(SETTINGS_SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS_SURFACE))
+    def test_every_flag_resolves(self, command):
+        argv, want, _, _ = SETTINGS_SURFACE[command]
+        self.assert_settings(self.resolve(command, argv), want)
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS_SURFACE))
+    def test_required_only_resolves_to_defaults(self, command):
+        _, _, argv, want = SETTINGS_SURFACE[command]
+        self.assert_settings(self.resolve(command, argv), want)
 
 
 class TestParityCommand:
@@ -385,6 +520,18 @@ class TestFokkerPlanckCommand:
         proc = run_cli("fokker-planck", "--t", "-1.0")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[], ["--x-min", "-2", "--x-max", "2"]],
+        ids=["default_grid", "given_grid"],
+    )
+    def test_zero_time_steps_exits_2(self, grid):
+        proc = run_cli("fokker-planck", "--n-time-steps", "0", *grid)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
+
 
 class TestMaxentCheckCommand:
     def test_default_round_trip(self):
@@ -414,9 +561,15 @@ class TestMaxentCheckCommand:
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "NoConvergence"
 
-    def test_bad_k_exits_2(self):
-        proc = run_cli("maxent-check", "--k", "-0.04")
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--k", "-0.04"), ("--extent-sigmas", "nan"), ("--extent-sigmas", "inf")],
+        ids=["k", "extent_sigmas_nan", "extent_sigmas_inf"],
+    )
+    def test_bad_k_exits_2(self, flag, value):
+        proc = run_cli("maxent-check", flag, value)
         assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "DomainError"
 
 
 class TestPipelines:

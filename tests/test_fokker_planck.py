@@ -68,6 +68,12 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             default_grid(market, 0.0)
 
+    @pytest.mark.parametrize("n_time_steps", [0, -3])
+    def test_default_grid_needs_a_time_step(self, n_time_steps):
+        market = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
+        with pytest.raises(DomainError, match="n_time_steps"):
+            default_grid(market, 1.0, n_time_steps=n_time_steps)
+
 
 class TestInitialDensities:
     def test_point_mass_is_narrow_and_normalized(self):

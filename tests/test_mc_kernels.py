@@ -230,6 +230,13 @@ class TestPartitionRunner:
         want = reference_log_paths(PHYSICAL, 1.0, 2, 3, 1, 10_000)
         assert same_bits(paths.log_paths, want)
 
+    def test_one_item_on_three_partitions_starts_no_pool(self, recording_pool):
+        # Only partition 0 can be non-empty, so it runs inline.
+        paths = simulate_paths(PHYSICAL, 1.0, 2, 1, seed=4, n_partitions=3)
+        assert recording_pool == []
+        want = reference_log_paths(PHYSICAL, 1.0, 2, 1, 4, 3)
+        assert same_bits(paths.log_paths, want)
+
     def test_worker_error_propagates(self, monkeypatch):
         def failing_rng(seed, k):
             if k == 1:

@@ -563,6 +563,12 @@ class TestPde:
             with pytest.raises(DomainError, match="x_max"):
                 pde_price(market, opt)
 
+    @pytest.mark.parametrize("n_time_steps", [0, -3])
+    def test_default_grid_needs_a_time_step(self, n_time_steps):
+        opt = OptionSpec("call", 1.0, 1.0)
+        with pytest.raises(DomainError, match="n_time_steps"):
+            default_pde_grid(self.std(), opt, n_time_steps=n_time_steps)
+
     def test_default_grid_satisfies_guards(self):
         for row in BATTERY:
             market, option = battery_case(row)
