@@ -314,7 +314,11 @@ def cmd_price(settings: dict) -> None:
 
 def cmd_parity(settings: dict) -> None:
     market = _market_from(settings)
+    if settings["sweep"] < 0:
+        raise DomainError("sweep must be a non-negative number of cases")
     if settings["sweep"] > 0:
+        if settings["sweep_seed"] < 0:
+            raise DomainError("sweep_seed must be a non-negative integer")
         rng = np.random.default_rng(settings["sweep_seed"])
         worst = 0.0
         violations = 0
@@ -401,6 +405,8 @@ def cmd_maxent_check(settings: dict) -> None:
 
     if not (k_prime > 0.0 and math.isfinite(k_prime)):
         raise DomainError("k_prime must be positive and finite")
+    if not (settings["bound"] > 0.0 and math.isfinite(settings["bound"])):
+        raise DomainError("bound must be positive and finite")
     constraints = maxent.ConstraintSpec(
         (maxent.SecondCentralMoment(center=0.0),), (k_prime,)
     )

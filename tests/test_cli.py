@@ -179,6 +179,29 @@ class TestPriceCommand:
         [line] = proc.stderr.splitlines()  # the JSON error and no warning
         assert json.loads(line)["error"] == "DomainError"
 
+    @pytest.mark.parametrize(
+        "sigma, kind, code",
+        [("30", "call", 3), ("30", "put", 0), ("0.2", "call", 0)],
+        ids=["overflowing_call", "put", "low_vol_call"],
+    )
+    def test_pde_grid_near_exp_overflow(self, sigma, kind, code):
+        # x_max = 709 is just below ln(float max).  The sigma-30 call's values
+        # overflow in the solve (exit 3); the others solve without warnings.
+        proc = run_cli(
+            "price", "--method", "pde",
+            "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", sigma,
+            "--strike", "1", "--expiry", "1", "--kind", kind,
+            "--x-min", "-700", "--x-max", "709",
+        )
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == ""
+            [line] = proc.stderr.splitlines()  # the JSON error and no warning
+            assert json.loads(line)["error"] == "NumericalError"
+        else:
+            assert proc.stderr == ""
+            assert math.isfinite(json.loads(proc.stdout)["premium"])
+
     @pytest.mark.parametrize("method", ["monte_carlo", "all"])
     def test_single_antithetic_pair_exits_2(self, method):
         # One pair is one sample: its standard error would be NaN.
@@ -409,6 +432,21 @@ class TestParityCommand:
         assert data["n_cases"] == 10000
         assert data["max_abs_residual"] <= 1e-12
 
+    @pytest.mark.parametrize(
+        "sweep", [["--sweep", "3", "--sweep-seed", "-1"], ["--sweep", "-5"]],
+        ids=["negative_seed", "negative_count"],
+    )
+    def test_bad_sweep_exits_2(self, sweep):
+        proc = run_cli(
+            "parity",
+            "--u0", "1.0", "--strike", "1.0", "--rd", "0.05", "--rf", "0.02",
+            "--sigma", "0.2", "--expiry", "1.0", *sweep,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
+
     def test_physical_measure_exits_3(self):
         proc = run_cli(
             "parity",
@@ -563,8 +601,14 @@ class TestMaxentCheckCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--k", "-0.04"), ("--extent-sigmas", "nan"), ("--extent-sigmas", "inf")],
-        ids=["k", "extent_sigmas_nan", "extent_sigmas_inf"],
+        [
+            ("--k", "-0.04"), ("--extent-sigmas", "nan"), ("--extent-sigmas", "inf"),
+            ("--bound", "nan"), ("--bound", "inf"), ("--bound", "0"),
+        ],
+        ids=[
+            "k", "extent_sigmas_nan", "extent_sigmas_inf",
+            "bound_nan", "bound_inf", "bound_zero",
+        ],
     )
     def test_bad_k_exits_2(self, flag, value):
         proc = run_cli("maxent-check", flag, value)

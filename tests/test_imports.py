@@ -1,7 +1,9 @@
 """Each CLI subcommand loads only the scipy modules it calls.
 
-scipy is most of the package's import time, so it is imported inside the
-quadrature, PDE and Fokker-Planck routines rather than at module top.
+scipy is most of the package's import time, and the package uses only its
+LAPACK tridiagonal factor and solve (scipy.linalg), imported inside the
+PDE and Fokker-Planck routines rather than at module top.  Closed-form and
+quadrature pricing, parity, simulation and the maxent check load no scipy.
 Each check runs in a fresh interpreter, because this test process may
 already hold scipy.
 """
@@ -50,6 +52,7 @@ def test_import_loads_no_scipy(module):
     "argv",
     [
         ["price", *MARKET, *OPTION, "--kind", "call"],
+        ["price", *MARKET, *OPTION, "--kind", "call", "--method", "quadrature"],
         ["parity", *MARKET, *OPTION, "--sweep", "50"],
         [
             "simulate", *MARKET, "--horizon", "1.0", "--n-steps", "5",
@@ -57,10 +60,15 @@ def test_import_loads_no_scipy(module):
         ],
         ["maxent-check"],
     ],
-    ids=["price", "parity", "simulate", "maxent-check"],
+    ids=["price", "price_quadrature", "parity", "simulate", "maxent-check"],
 )
 def test_scipy_free_commands(argv):
     assert scipy_loaded(_RUN_COMMAND, *argv) == []
+
+
+def linalg_only(loaded: list[str]) -> bool:
+    heavy = ("scipy.integrate", "scipy.interpolate")
+    return "scipy.linalg" in loaded and not any(m.startswith(heavy) for m in loaded)
 
 
 def test_fokker_planck_loads_only_linalg():
@@ -68,6 +76,14 @@ def test_fokker_planck_loads_only_linalg():
         _RUN_COMMAND,
         "fokker-planck", *MARKET, "--n-points", "401", "--n-time-steps", "100",
     )
-    assert "scipy.linalg" in loaded
-    assert "scipy.integrate" not in loaded
-    assert "scipy.interpolate" not in loaded
+    assert linalg_only(loaded), loaded
+
+
+@pytest.mark.parametrize("method", ["pde", "all"])
+def test_pde_pricing_loads_only_linalg(method):
+    loaded = scipy_loaded(
+        _RUN_COMMAND,
+        "price", *MARKET, *OPTION, "--kind", "call", "--method", method,
+        "--n-paths", "1000",
+    )
+    assert linalg_only(loaded), loaded

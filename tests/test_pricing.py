@@ -3,11 +3,13 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropic_fx import pricing
 from entropic_fx import (
     DomainError,
     FPGridSpec,
@@ -383,6 +385,37 @@ class TestQuadrature:
             quadrature_price(physical, OptionSpec("call", 1.0, 1.0))
 
     @given(
+        u0=st.floats(min_value=0.5, max_value=2.0),
+        moneyness=st.floats(min_value=0.5, max_value=2.0),
+        sigma=st.floats(min_value=0.05, max_value=0.6),
+        expiry=st.floats(min_value=0.1, max_value=5.0),
+        r_d=st.floats(min_value=-0.01, max_value=0.1),
+        r_f=st.floats(min_value=-0.01, max_value=0.1),
+        kind=st.sampled_from(["call", "put"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_error_bound_covers_error(self, u0, moneyness, sigma, expiry, r_d, r_f, kind):
+        # Over the battery's domain, deep out-of-the-money premiums included,
+        # the reported bound covers the distance to the closed form.  The
+        # reference is evaluated at 40 digits: in floats the closed form's
+        # two legs cancel on tiny premiums, costing up to ~1e-11 relative.
+        market = MarketParams.risk_neutral(u0, r_d, r_f, sigma)
+        opt = OptionSpec(kind, moneyness * u0, expiry)
+        got = quadrature_price(market, opt)
+        with mpmath.workdps(40):
+            sd = mpmath.mpf(sigma) * mpmath.sqrt(expiry)
+            d1 = (mpmath.log(mpmath.mpf(u0) / opt.strike)
+                  + (mpmath.mpf(r_d) - r_f + mpmath.mpf(sigma) ** 2 / 2) * expiry) / sd
+            s = 1 if kind == "call" else -1
+            exact = s * (u0 * mpmath.exp(-mpmath.mpf(r_f) * expiry) * mpmath.ncdf(s * d1)
+                         - opt.strike * mpmath.exp(-mpmath.mpf(r_d) * expiry)
+                         * mpmath.ncdf(s * (d1 - sd)))
+            error = float(abs(got.premium - exact))
+        bound = got.diagnostics["abs_error_bound"]
+        assert 0.0 < bound <= 1e-10 * max(1.0, u0, opt.strike)
+        assert error <= bound, f"error {error:.3e} beyond bound {bound:.3e}"
+
+    @given(
         market=market_strategy,
         strike_ratio=st.floats(min_value=0.5, max_value=2.0),
         kind=st.sampled_from(["call", "put"]),
@@ -562,6 +595,70 @@ class TestPde:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="x_max"):
                 pde_price(market, opt)
+
+    def test_values_overflowing_near_exp_limit_raise(self):
+        # x_max = 709 is allowed, but sigma = 30 multiplies call values near
+        # e^709 by stencil weights in the hundreds: that is NumericalError,
+        # with no floating-point warning on the way.
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
+        grid = FPGridSpec(-700.0, 709.0, 1601, dt_step=1.0 / 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                pde_price(market, OptionSpec("call", 1.0, 1.0), grid)
+            put = pde_price(market, OptionSpec("put", 1.0, 1.0), grid).premium
+        assert put == pytest.approx(
+            closed_form_price(market, OptionSpec("put", 1.0, 1.0)).premium, rel=1e-6
+        )
+
+    def solve_recorded(self, monkeypatch, market, opt, grid=None):
+        """pde_price's premium and the node values of its final solve."""
+        solved = []
+
+        class Recording(pricing._TridiagonalLU):
+            def solve(self, rhs):
+                solved.append(super().solve(rhs))
+                return solved[-1]
+
+        monkeypatch.setattr(pricing, "_TridiagonalLU", Recording)
+        premium = pde_price(market, opt, grid).premium
+        return premium, solved[-1]
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_spot_on_a_node_reads_that_node(self, monkeypatch, kind):
+        grid = FPGridSpec(-2.0, 2.0, 801, dt_step=1.0 / 400)
+        assert grid.points()[400] == 0.0  # ln u0
+        premium, values = self.solve_recorded(
+            monkeypatch, self.std(), OptionSpec(kind, 1.1, 1.0), grid
+        )
+        assert same_bits(premium, values[400])
+
+    @pytest.mark.parametrize("n_points", [3, 4])
+    def test_small_grid_reads_the_interpolant_through_every_node(
+        self, monkeypatch, n_points
+    ):
+        # Three nodes give the parabola, four the cubic, through all of them.
+        market = self.std().with_spot(math.exp(0.3))
+        grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / 400)
+        premium, values = self.solve_recorded(
+            monkeypatch, market, OptionSpec("call", 1.0, 1.0), grid
+        )
+        coeffs = np.polyfit(grid.points(), values, n_points - 1)
+        assert premium == pytest.approx(np.polyval(coeffs, 0.3), rel=1e-12, abs=1e-15)
+
+    def test_readout_agrees_with_cubic_spline(self, monkeypatch):
+        # The four-node readout against a not-a-knot cubic spline through
+        # every node, on the same solved values: the two interpolants differ
+        # by far less than the grid's own error.
+        from scipy.interpolate import CubicSpline
+
+        for row in BATTERY:
+            market, option = battery_case(row)
+            grid = default_pde_grid(market, option)
+            premium, values = self.solve_recorded(monkeypatch, market, option, grid)
+            spline = float(CubicSpline(grid.points(), values)(math.log(market.u0)))
+            scale = max(spline, 0.01 * market.u0)
+            assert abs(premium - spline) <= 1e-7 * scale, row
 
     @pytest.mark.parametrize("n_time_steps", [0, -3])
     def test_default_grid_needs_a_time_step(self, n_time_steps):
