@@ -363,6 +363,16 @@ class TestQuadrature:
         with pytest.raises(ToleranceNotMet):
             quadrature_price(self.std(), OptionSpec("call", 1.0, 1.0), tol=1e-18)
 
+    def test_mass_beyond_the_window_raises(self):
+        # sigma*sqrt(T) = 30 puts the call's mass near z = 30, far past the
+        # twelve-sigma window: the bound reports it rather than a premium of
+        # ~0 against a true 0.98.
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceNotMet):
+                quadrature_price(market, OptionSpec("call", 1.0, 1.0))
+
     @pytest.mark.parametrize("strike", [500.0, 1000.0, 1500.0])
     def test_tol_scales_with_strike(self, strike):
         # Deep in-the-money puts: the certified error bound grows with the
@@ -611,7 +621,7 @@ class TestPde:
             closed_form_price(market, OptionSpec("put", 1.0, 1.0)).premium, rel=1e-6
         )
 
-    def solve_recorded(self, monkeypatch, market, opt, grid=None):
+    def solve_recorded(self, monkeypatch, market, opt, grid):
         """pde_price's premium and the node values of its final solve."""
         solved = []
 
