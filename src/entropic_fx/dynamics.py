@@ -8,7 +8,6 @@ invariance automatic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,8 +22,10 @@ RISK_NEUTRAL = "risk_neutral"
 _MEASURES = (PHYSICAL, RISK_NEUTRAL)
 
 # The Monte Carlo kernels draw and transform this many float64 values
-# (512 KiB) at a time, in place, so each partition's temporaries take one
-# chunk-sized buffer rather than one full-size array per operation.
+# (512 KiB) per block, in place, so a block's temporaries take one
+# block-sized buffer rather than one full-size array per operation.  It also
+# fixes the stream layout: block b is drawn from block_rng(seed, b), so
+# changing it changes every seeded output.
 _CHUNK = 65_536
 
 
@@ -148,39 +149,47 @@ class PathSet:
         return np.exp(self.log_paths)
 
 
-def _partition_sizes(n_paths: int, n_partitions: int) -> list[int]:
-    base, rem = divmod(n_paths, n_partitions)
-    return [base + (1 if k < rem else 0) for k in range(n_partitions)]
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """Independent stream for one block, derived from (seed, block)."""
+    return np.random.default_rng(np.random.SeedSequence((seed, block)))
 
 
-def partition_rng(seed: int, partition: int) -> np.random.Generator:
-    """Independent stream for one partition, derived from (seed, partition)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, partition)))
+def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> None:
+    """Call ``fill(rng, lo, hi)`` for each block [lo, hi) of n_items.
 
-
-def _run_partitions(n_items: int, n_partitions: int, fill) -> None:
-    """Call ``fill(k, lo, hi)`` for each non-empty partition k of n_items.
-
-    Partition k owns the contiguous slice [lo, hi) and its own stream, so
-    the result depends on the partition count, never on the schedule.  Only
-    the first min(n_partitions, n_items) partitions can be non-empty, so
-    only those are visited.  One such partition runs inline; more run on a
-    thread pool with at most one worker per core.
+    Each item takes n_draws draws, and a block holds ``max(1, _CHUNK //
+    n_draws)`` items, the last one fewer.  Block b draws from
+    block_rng(seed, b), so the result depends on the seed, n_items and
+    n_draws, never on the thread count or the schedule.  The blocks run
+    inline when min(n_threads, blocks, cores) is 1, else on that many threads.
     """
-    live = min(n_partitions, n_items)
-    # With more partitions than items, each of the first n_items partitions
-    # holds one item: the same sizes as splitting n_items into n_items parts.
-    bounds = [0, *itertools.accumulate(_partition_sizes(n_items, live))]
+    size = max(1, _CHUNK // n_draws)
+    n_blocks = -(-n_items // size)
 
-    def run(k: int) -> None:
-        fill(k, bounds[k], bounds[k + 1])
+    def run(b: int) -> None:
+        fill(block_rng(seed, b), b * size, min((b + 1) * size, n_items))
 
-    if live == 1:
-        run(0)
+    workers = min(n_threads, n_blocks, os.cpu_count() or 1)
+    if workers == 1:
+        for b in range(n_blocks):
+            run(b)
     else:
-        workers = min(live, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(live)))
+            list(pool.map(run, range(n_blocks)))
+
+
+def _walk(rng: np.random.Generator, params: MarketParams, horizon: float, z, out) -> None:
+    """x0 + cumsum(step_mean + step_sd * Z) along rows into out, drawing Z into z.
+
+    z has out's shape and may be out itself; each operation is the one-shot
+    formula's, commuted at most.
+    """
+    dt = horizon / z.shape[1]
+    rng.standard_normal(out=z)
+    z *= params.sigma * math.sqrt(dt)
+    z += params.log_drift * dt
+    np.cumsum(z, axis=1, out=out)
+    out += log_coordinate(params.u0)
 
 
 def simulate_paths(
@@ -195,10 +204,10 @@ def simulate_paths(
 
     Each step adds ``log_drift*dt + sigma*sqrt(dt)*Z`` to ln u, which is the
     increment law itself, so the discretization introduces no time-step
-    bias.  Paths are split into ``n_partitions`` contiguous blocks, each
-    driven by its own RNG stream derived from ``(seed, partition index)``;
-    the output is deterministic for a fixed partition count and partitions
-    may safely run in parallel.
+    bias.  Paths are drawn in blocks of ``max(1, 65536 // n_steps)`` rows,
+    block b from its own stream derived from ``(seed, b)``, so the output is
+    a function of the seed, ``n_paths`` and ``n_steps`` alone; the blocks
+    run on up to ``n_partitions`` threads.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise DomainError("horizon must be positive and finite")
@@ -211,31 +220,13 @@ def simulate_paths(
     if n_partitions < 1:
         raise DomainError("n_partitions must be at least 1")
 
-    dt = horizon / n_steps
-    step_mean = params.log_drift * dt
-    step_sd = params.sigma * math.sqrt(dt)
-    x0 = log_coordinate(params.u0)
-
     log_paths = np.empty((n_paths, n_steps + 1))
-    log_paths[:, 0] = x0
-    rows = max(1, _CHUNK // n_steps)
+    log_paths[:, 0] = log_coordinate(params.u0)
 
-    def fill(k: int, lo: int, hi: int) -> None:
-        # x0 + cumsum(step_mean + step_sd * z) for a block of rows at a time;
-        # each operation is the one-shot formula's, commuted at most.
-        rng = partition_rng(seed, k)
-        z = np.empty((min(rows, hi - lo), n_steps))
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            zb = z[: b - a]
-            block = log_paths[a:b, 1:]
-            rng.standard_normal(out=zb)
-            zb *= step_sd
-            zb += step_mean
-            np.cumsum(zb, axis=1, out=block)
-            block += x0
+    def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+        _walk(rng, params, horizon, np.empty((hi - lo, n_steps)), log_paths[lo:hi, 1:])
 
-    _run_partitions(n_paths, n_partitions, fill)
+    _run_blocks(n_paths, n_steps, seed, n_partitions, fill)
 
     times = np.linspace(0.0, horizon, n_steps + 1)
     return PathSet(

@@ -17,13 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
-    _CHUNK,
     RISK_NEUTRAL,
     MarketParams,
-    _run_partitions,
+    _run_blocks,
+    _walk,
     log_coordinate,
-    partition_rng,
-    simulate_paths,
 )
 from .errors import (
     DomainError,
@@ -312,11 +310,13 @@ def mc_price(
     """Monte Carlo premium with the terminal rate drawn exactly.
 
     With n_steps = 1 the terminal log rate is sampled in a single exact
-    Gaussian step; larger n_steps walks the full path (still exact in
-    law).  Antithetic variates pair each draw with its mirror image and
-    average within pairs, which cancels the odd part of the payoff's
-    dependence on the noise; each pair is one sample, and the standard
-    error needs two.  More than one partition runs on a thread pool.
+    Gaussian step; larger n_steps walks simulate_paths' paths (still exact
+    in law), one block at a time, and keeps their terminal values.
+    Antithetic variates pair each draw with its mirror image and average
+    within pairs, which cancels the odd part of the payoff's dependence on
+    the noise; each pair is one sample, and the standard error needs two.
+    The draws come in blocks with their own streams, so the result does not
+    depend on ``n_partitions``, the number of threads the blocks run on.
     """
     _require_risk_neutral(params)
     if n_paths < 2:
@@ -340,32 +340,34 @@ def mc_price(
     discount = math.exp(-params.drift_d * t)
 
     if n_steps > 1:
-        paths = simulate_paths(params, t, n_steps, n_paths, seed, n_partitions)
-        samples = opt.payoff(np.exp(paths.terminal_log))
+        samples = np.empty(n_paths)
+
+        def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+            # simulate_paths' rows [lo, hi), of which only the last column stays.
+            z = np.empty((hi - lo, n_steps))
+            _walk(rng, params, t, z, z)
+            opt._payoff_in_place(np.exp(z[:, -1], out=samples[lo:hi]))
     else:
         mean = log_coordinate(params.u0) + params.log_drift * t
         sd = params.sigma * math.sqrt(t)
         samples = np.empty(n_paths // 2 if antithetic else n_paths)
 
-        def fill(k: int, lo: int, hi: int) -> None:
-            # Each chunk of draws becomes its samples in place, by the
+        def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+            # Each block of draws becomes its samples in place, by the
             # operations of payoff(exp(mean +/- sd * z)) and 0.5 * (up + dn).
-            rng = partition_rng(seed, k)
-            mirror = np.empty(min(_CHUNK, hi - lo)) if antithetic else None
-            for a in range(lo, hi, _CHUNK):
-                up = samples[a : min(a + _CHUNK, hi)]
-                rng.standard_normal(out=up)
-                up *= sd
-                if antithetic:
-                    dn = np.subtract(mean, up, out=mirror[: up.size])
-                up += mean
-                opt._payoff_in_place(np.exp(up, out=up))
-                if antithetic:
-                    opt._payoff_in_place(np.exp(dn, out=dn))
-                    up += dn
-                    up *= 0.5
+            up = samples[lo:hi]
+            rng.standard_normal(out=up)
+            up *= sd
+            if antithetic:
+                dn = np.subtract(mean, up)
+            up += mean
+            opt._payoff_in_place(np.exp(up, out=up))
+            if antithetic:
+                opt._payoff_in_place(np.exp(dn, out=dn))
+                up += dn
+                up *= 0.5
 
-        _run_partitions(samples.size, n_partitions, fill)
+    _run_blocks(samples.size, n_steps, seed, n_partitions, fill)
 
     n = samples.size
     premium = discount * float(np.mean(samples))

@@ -93,15 +93,26 @@ class TestPriceCommand:
         args = (
             "price", *STD_FLAGS,
             "--method", "monte_carlo",
-            "--n-paths", "10000",
+            "--n-paths", "200000",
             "--seed", "4",
         )
         by_flag = run_cli(*args, "--threads", "3", check=True)
         by_env = run_cli(*args, env_extra={"ENTROPIC_FX_THREADS": "3"}, check=True)
         assert by_flag.stdout == by_env.stdout
         serial = run_cli(*args, "--threads", "1", check=True)
-        # A different partition count reorders the RNG streams.
-        assert serial.stdout != by_flag.stdout
+        # 10^5 antithetic pairs are two blocks of draws; the thread count
+        # decides which thread draws a block, not what it draws.
+        assert serial.stdout == by_flag.stdout
+
+    def test_method_all_does_not_depend_on_threads(self):
+        args = (
+            "price", *STD_FLAGS,
+            "--method", "all",
+            "--n-paths", "200000",
+            "--seed", "12",
+        )
+        outputs = {run_cli(*args, "--threads", n, check=True).stdout for n in ("1", "2", "3")}
+        assert len(outputs) == 1
 
     def test_pde_method(self):
         proc = run_cli("price", *STD_FLAGS, "--method", "pde", check=True)
@@ -470,6 +481,12 @@ class TestSimulateCommand:
         lines = a.stdout.splitlines()
         assert lines[0] == "time,path_0,path_1,path_2,path_3"
         assert len(lines) == 7
+
+    def test_csv_does_not_depend_on_threads(self):
+        # 32768 steps put two paths in a block, so 5 paths are three blocks.
+        args = ("simulate", *self.BASE, "--n-steps", "32768", "--n-paths", "5")
+        outputs = {run_cli(*args, "--threads", n, check=True).stdout for n in ("1", "2", "3")}
+        assert len(outputs) == 1
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "paths.csv"

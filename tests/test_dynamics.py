@@ -12,13 +12,14 @@ from entropic_fx import (
     MarketParams,
     PathSet,
     TransitionDensity,
+    block_rng,
     log_coordinate,
-    partition_rng,
     paths_to_csv,
     simulate_paths,
     transition_density,
     transition_pdf,
 )
+from entropic_fx.dynamics import _CHUNK
 
 
 class TestMarketParams:
@@ -176,28 +177,26 @@ class TestSimulatePaths:
         assert not np.array_equal(a.log_paths, b.log_paths)
 
     def test_partitioned_run_is_deterministic(self):
-        # Threaded partitions fill disjoint blocks; two runs agree exactly.
+        # Threads fill disjoint blocks; two runs agree exactly.
         a = simulate_paths(self.market(), 1.0, 5, 101, seed=9, n_partitions=4)
         b = simulate_paths(self.market(), 1.0, 5, 101, seed=9, n_partitions=4)
         assert np.array_equal(a.log_paths, b.log_paths)
 
-    def test_partition_blocks_match_serial_streams(self):
-        # Block k of the partitioned run reproduces the stream seeded by
-        # (seed, k); the partition count changes layout, not randomness.
+    def test_blocks_match_their_streams(self):
+        # Rows [4b, 4b + 4) are block b, drawn whole from (seed, b); the
+        # thread count changes which thread fills a block, not its draws.
         market = self.market()
-        paths = simulate_paths(market, 1.0, 3, 10, seed=5, n_partitions=3)
-        sizes = [4, 3, 3]
-        dt = 1.0 / 3
+        n_steps = _CHUNK // 4
+        paths = simulate_paths(market, 1.0, n_steps, 10, seed=5, n_partitions=2)
+        dt = 1.0 / n_steps
         step_mean = market.log_drift * dt
         step_sd = market.sigma * math.sqrt(dt)
-        offset = 0
-        for k, size in enumerate(sizes):
-            z = partition_rng(5, k).standard_normal((size, 3))
+        for b, size in enumerate([4, 4, 2]):
+            z = block_rng(5, b).standard_normal((size, n_steps))
             expected = np.cumsum(step_mean + step_sd * z, axis=1)
             assert np.array_equal(
-                paths.log_paths[offset : offset + size, 1:], expected
-            ), f"partition {k} does not match its seeded stream"
-            offset += size
+                paths.log_paths[4 * b : 4 * b + size, 1:], expected
+            ), f"block {b} does not match its seeded stream"
 
     def test_more_partitions_than_paths(self):
         paths = simulate_paths(self.market(), 1.0, 2, 3, seed=0, n_partitions=8)
