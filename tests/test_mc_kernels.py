@@ -1,8 +1,8 @@
 """Block-keyed, in-place Monte Carlo kernels against their one-shot references.
 
 ``mc_price`` and ``simulate_paths`` cut their draws into fixed blocks, draw
-block b from ``block_rng(seed, b)`` into reused buffers and transform it in
-place, on however many threads ``n_partitions`` allows.  The references
+block b from ``block_rng(seed, b)`` into a block-sized buffer and transform
+it in place, on however many threads ``n_partitions`` allows.  The references
 below are the whole-array forms of the same streams; every seeded output
 must match them to the bit, whatever the thread count.
 """
