@@ -257,21 +257,6 @@ class TestMultiStepMemory:
         assert peak < 20e6
 
 
-class _RecordingPool(ThreadPoolExecutor):
-    created = []
-
-    def __init__(self, max_workers=None, **kwargs):
-        type(self).created.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    _RecordingPool.created = []
-    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _RecordingPool)
-    return _RecordingPool.created
-
-
 class TestPartitionRunner:
     # Blocks run inline when min(n_partitions, blocks, cores) is 1, and on a
     # pool of that many workers otherwise.
