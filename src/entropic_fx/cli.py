@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Optional
 
@@ -142,6 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
         p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        # Read -5e-05 and -inf as values, not flags: argparse's own pattern
+        # takes only -5 and -0.5 forms for negative numbers.
+        p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
         p.add_argument("--config", help="JSON file with default settings")
         for name, (typ, default, extra) in schema.items():
             flag = name.replace("_", "-")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,6 +173,8 @@ def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> 
         for b in range(n_blocks):
             run(b)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(n_blocks)))
 

@@ -174,6 +174,29 @@ class _TridiagonalLU:
         return x
 
 
+def _crank_nicolson(lower, diag, upper, v, dt, n_steps, implicit=0, rows=None, after=None):
+    """March dv/dt = L v, L = tridiag(lower, diag, upper) laid out as in
+    _operator_diagonals, by n_steps >= 1 steps of dt; return the last two states.
+
+    I - dt/2 L is factored once.  The first ``implicit`` steps solve it
+    against v, the rest against v + dt/2 L v (Crank-Nicolson).  ``rows(step)``
+    gives the right-hand side's first and last entries; ``after(v, v')`` sees
+    each step.
+    """
+    # 0.0 - x, not -x: a zero band entry must stay +0.0 in the matrix.
+    lhs = _TridiagonalLU(
+        0.0 - 0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, 0.0 - 0.5 * dt * upper[:-1]
+    )
+    for step in range(n_steps):
+        rhs = v.copy() if step < implicit else v + 0.5 * dt * _apply_tridiag(lower, diag, upper, v)
+        if rows is not None:
+            rhs[0], rhs[-1] = rows(step)
+        old, v = v, lhs.solve(rhs)
+        if after is not None:
+            after(old, v)
+    return old, v
+
+
 def _finalize_weights(points: np.ndarray, p: np.ndarray) -> DensityGrid:
     """Clip round-off negatives, reject genuine undershoots."""
     worst = float(np.min(p))
@@ -208,7 +231,6 @@ def evolve_density(
         raise DomainError("initial density must live on the grid given by spec")
     _check_initial_support(initial)
 
-    n = spec.n_points
     h = initial.h
     nu = params.log_drift
     diffusion = 0.5 * params.sigma * params.sigma
@@ -216,23 +238,13 @@ def evolve_density(
     n_steps = max(1, math.ceil(t / spec.dt_step - 1e-12))
     dt = t / n_steps
 
-    lower, diag, upper = _operator_diagonals(nu, diffusion, h, n)
-
-    # I - dt/2 L is the same at every step: factor it once.
-    lhs = _TridiagonalLU(
-        -0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1]
-    )
-
     adv = 0.5 * nu
     dif_h = diffusion / h
-
-    p = initial.weights.copy()
-    mass0 = float(np.sum(p)) * h
+    mass0 = float(np.sum(initial.weights)) * h
     leak = 0.0
-    for _ in range(n_steps):
-        rhs = p + 0.5 * dt * _apply_tridiag(lower, diag, upper, p)
-        p_next = lhs.solve(rhs)
 
+    def check_leak(p, p_next):
+        nonlocal leak
         mid0 = 0.5 * (p[0] + p_next[0])
         mid1 = 0.5 * (p[1] + p_next[1])
         midm = 0.5 * (p[-2] + p_next[-2])
@@ -245,6 +257,7 @@ def evolve_density(
                 "density reached the grid boundary during evolution; "
                 "widen the grid or shorten the horizon"
             )
-        p = p_next
 
+    bands = _operator_diagonals(nu, diffusion, h, spec.n_points)
+    _, p = _crank_nicolson(*bands, initial.weights, dt, n_steps, after=check_leak)
     return _finalize_weights(points, p)

@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     ToleranceNotMet,
 )
-from .fokker_planck import FPGridSpec, _TridiagonalLU
+from .fokker_planck import FPGridSpec, _apply_tridiag, _crank_nicolson
 
 CALL = "call"
 PUT = "put"
@@ -424,11 +424,12 @@ def pde_price(
     In time-to-maturity tau the value satisfies dE/dtau = (sigma^2/2) E_xx
     + nu E_x - rd E with nu = rd - rf - sigma^2/2.  The first step is
     split into two implicit half-steps to damp the payoff kink before
-    Crank-Nicolson takes over.  The reported residual diagnostic is the
-    worst scaled defect of the stepping equations, a direct check on the
-    linear algebra.  The premium is the Lagrange cubic through the four
-    nodes nearest the spot (all three on a three-point grid), so a spot on
-    a node reads that node's value.
+    Crank-Nicolson takes over.  The ``residual`` diagnostic is the scaled
+    defect of the last Crank-Nicolson step's equations, a check on the
+    linear algebra; it is 0.0 when n_time_steps is 1, which takes no such
+    step.  The premium is the Lagrange cubic through the four nodes nearest
+    the spot (all three on a three-point grid), so a spot on a node reads
+    that node's value.
 
     The grid's upper bound must not exceed ln(float max) ~ 709.78, above
     which the boundary value e^x overflows; such a grid raises DomainError.
@@ -466,55 +467,35 @@ def pde_price(
 
     nu = params.log_drift
     diffusion = 0.5 * params.sigma * params.sigma
-    rd = params.drift_d
 
-    # Interior-row stencil of L: diffusion + advection - discounting.
-    lower_c = diffusion / (h * h) - 0.5 * nu / h
-    diag_c = -2.0 * diffusion / (h * h) - rd
-    upper_c = diffusion / (h * h) + 0.5 * nu / h
+    # L: diffusion + advection - discounting on interior rows; the boundary
+    # rows are zero and take Dirichlet values instead.
+    lower, diag, upper = np.zeros((3, n))
+    lower[1:-1] = diffusion / (h * h) - 0.5 * nu / h
+    diag[1:-1] = -2.0 * diffusion / (h * h) - params.drift_d
+    upper[1:-1] = diffusion / (h * h) + 0.5 * nu / h
 
-    # I - dtau/2 L with identity boundary rows.  The two implicit half-steps
-    # and every Crank-Nicolson step solve with it, so it is factored once.
-    theta = 0.5 * dtau
-    lhs_lower = np.full(n - 1, -theta * lower_c)
-    lhs_diag = np.full(n, 1.0 - theta * diag_c)
-    lhs_upper = np.full(n - 1, -theta * upper_c)
-    lhs_lower[-1] = lhs_upper[0] = 0.0
-    lhs_diag[0] = lhs_diag[-1] = 1.0
-    lhs = _TridiagonalLU(lhs_lower, lhs_diag, lhs_upper)
-
-    def apply_interior(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[1:-1] = lower_c * v[:-2] + diag_c * v[1:-1] + upper_c * v[2:]
-        return out
-
-    def boundary_values(tau: float) -> tuple[float, float]:
+    def boundary_values(step: int) -> tuple[float, float]:
+        # Steps 0 and 1 are the implicit half-steps to dtau/2 and dtau, then one per dtau.
+        tau = max(step, 0.5) * dtau
         disc_d = math.exp(-params.drift_d * tau)
         disc_f = math.exp(-params.drift_f * tau)
         if opt.kind == CALL:
             return 0.0, math.exp(x[-1]) * disc_f - opt.strike * disc_d
         return opt.strike * disc_d - math.exp(x[0]) * disc_f, 0.0
 
-    values = opt.payoff(np.exp(x))
     residual = 0.0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # Two implicit half-steps over the first dtau smooth the kink.
-            for tau in (0.5 * dtau, dtau):
-                rhs = values.copy()
-                rhs[0], rhs[-1] = boundary_values(tau)
-                values = lhs.solve(rhs)
-
-            for m in range(2, n_steps + 1):
-                rhs = values + 0.5 * dtau * apply_interior(values)
-                rhs[0], rhs[-1] = boundary_values(m * dtau)
-                new_values = lhs.solve(rhs)
-
-                mid = 0.5 * (values + new_values)
-                defect = (new_values - values) / dtau - apply_interior(mid)
+            previous, values = _crank_nicolson(
+                lower, diag, upper, opt.payoff(np.exp(x)), dtau, n_steps + 1,
+                implicit=2, rows=boundary_values,
+            )
+            if n_steps > 1:
+                mid = 0.5 * (previous + values)
+                defect = (values - previous) / dtau - _apply_tridiag(lower, diag, upper, mid)
                 scale = 1.0 + float(np.max(np.abs(mid)))
-                residual = max(residual, float(np.max(np.abs(defect[1:-1]))) / scale)
-                values = new_values
+                residual = float(np.max(np.abs(defect[1:-1]))) / scale
     except FloatingPointError as exc:
         raise NumericalError(f"PDE values overflow on this grid ({exc})") from exc
 

@@ -7,7 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from entropic_fx import PriceResult, density_from_csv
+from entropic_fx import (
+    MarketParams,
+    OptionSpec,
+    PriceResult,
+    closed_form_price,
+    density_from_csv,
+)
 from entropic_fx import cli
 from entropic_fx.cli import build_parser, resolve_settings
 
@@ -249,6 +255,72 @@ class TestPriceCommand:
             env_extra={"ENTROPIC_FX_THREADS": "many"},
         )
         assert proc.returncode == 2
+
+
+class TestNegativeNumbers:
+    """Negative numbers in every form the CLI prints are values, not flags.
+
+    argparse's own pattern takes only -5 and -0.5 forms as negative numbers,
+    so without the CLI's wider one `--rd -5e-05` and `--rd -inf` exit 2 with
+    a usage error.  These pin the behaviour on every Python the CI runs.
+    """
+
+    PRICE = [
+        "price", "--u0", "1.0", "--rf", "0.02", "--sigma", "0.2",
+        "--strike", "1.0", "--expiry", "1.0", "--kind", "call",
+    ]
+
+    @pytest.mark.parametrize(
+        "token", ["-5e-05", "-5E-05", "-5e5", "-5.e-5", "-.5e-4", "-1e+0", "-0.00005", "-3"]
+    )
+    def test_parses_as_a_value(self, token):
+        args = build_parser().parse_args([*self.PRICE, "--rd", token])
+        assert args.rd == float(token)
+
+    @pytest.mark.parametrize("token", ["-inf", "-Infinity", "-nan"])
+    def test_non_finite_parses_as_a_value(self, token):
+        args = build_parser().parse_args([*self.PRICE, "--rd", token])
+        assert repr(args.rd) == repr(float(token))
+
+    def test_exponent_form_prints_what_other_forms_print(self):
+        runs = [
+            run_cli(*self.PRICE, *rd)
+            for rd in (["--rd", "-5e-05"], ["--rd=-5e-05"], ["--rd", "-0.00005"])
+        ]
+        assert [proc.returncode for proc in runs] == [0, 0, 0]
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+        assert json.loads(runs[0].stdout)["d1"] == -0.0002499999999999898
+
+    def test_capital_exponent_prices(self):
+        proc = run_cli(*self.PRICE, "--rd", "-1E-3", check=True)
+        market = MarketParams.risk_neutral(1.0, -1e-3, 0.02, 0.2)
+        assert json.loads(proc.stdout)["premium"] == closed_form_price(
+            market, OptionSpec("call", 1.0, 1.0)
+        ).premium
+
+    def test_negative_infinity_is_a_domain_error(self):
+        proc = run_cli(*self.PRICE, "--rd", "-inf")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
+
+    def test_simulate_with_exponent_drift(self, tmp_path):
+        target = tmp_path / "paths.csv"
+        run_cli(
+            "simulate", "--n-paths", "1000", "--n-steps", "252",
+            "--horizon", "4.345105336947692", "--seed", "1881195827",
+            "--u0", "0.5174015373714028", "--rd", "-1.8853706835639597e-05",
+            "--rf", "0.03933820100075042", "--sigma", "0.37664684612919275",
+            "--output", str(target), check=True,
+        )
+        assert target.read_text().count("\n") == 1 + 253  # header, t = 0 .. T
+
+    def test_pde_grid_bounds_in_exponent_form(self):
+        args = [*self.PRICE, "--rd", "0.05", "--method", "pde"]
+        exponent = run_cli(*args, "--x-min", "-1e1", "--x-max", "1e1", check=True)
+        decimal = run_cli(*args, "--x-min=-10", "--x-max=10", check=True)
+        assert exponent.stdout == decimal.stdout
 
 
 class TestConfigFile:

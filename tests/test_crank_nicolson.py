@@ -1,0 +1,231 @@
+"""The shared Crank-Nicolson marcher against the two time loops it replaced.
+
+``evolve_density`` and ``pde_price`` both march through
+``fokker_planck._crank_nicolson``.  The references below are copies of the
+loops each solver ran on its own before: they assemble their own matrix and
+right-hand side, so a wrong band, a wrong boundary row or a wrong step order
+in the marcher shows up as different bits.  Only the LAPACK factor-and-solve
+(``_TridiagonalLU``, checked against ``solve_banded`` elsewhere) and the FP
+operator's bands (``_operator_diagonals``) are shared.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from entropic_fx import (
+    DensityGrid,
+    FPGridSpec,
+    MarketParams,
+    MassLeak,
+    OptionSpec,
+    default_grid,
+    default_pde_grid,
+    evolve_density,
+    pde_price,
+    point_mass_density,
+)
+from entropic_fx.dynamics import log_coordinate
+from entropic_fx.fokker_planck import (
+    _LEAK_TOL,
+    _finalize_weights,
+    _operator_diagonals,
+    _TridiagonalLU,
+)
+
+from conftest import same_bits
+
+
+def reference_evolve(initial, params, t, spec):
+    """evolve_density's own loop: CN steps with the boundary-flux leak sum."""
+    points = spec.points()
+    n = spec.n_points
+    h = initial.h
+    nu = params.log_drift
+    diffusion = 0.5 * params.sigma * params.sigma
+    n_steps = max(1, math.ceil(t / spec.dt_step - 1e-12))
+    dt = t / n_steps
+    lower, diag, upper = _operator_diagonals(nu, diffusion, h, n)
+    lhs = _TridiagonalLU(
+        -0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1]
+    )
+
+    def apply(p):
+        out = diag * p
+        out[1:] += lower[1:] * p[:-1]
+        out[:-1] += upper[:-1] * p[1:]
+        return out
+
+    adv = 0.5 * nu
+    dif_h = diffusion / h
+    p = initial.weights.copy()
+    mass0 = float(np.sum(p)) * h
+    leak = 0.0
+    for _ in range(n_steps):
+        rhs = p + 0.5 * dt * apply(p)
+        p_next = lhs.solve(rhs)
+        mid0 = 0.5 * (p[0] + p_next[0])
+        mid1 = 0.5 * (p[1] + p_next[1])
+        midm = 0.5 * (p[-2] + p_next[-2])
+        midn = 0.5 * (p[-1] + p_next[-1])
+        flux_lo = -adv * (mid0 + mid1) + dif_h * (mid1 - mid0)
+        flux_hi = -adv * (midm + midn) + dif_h * (midn - midm)
+        leak += (abs(flux_lo) + abs(flux_hi)) * dt
+        if leak > _LEAK_TOL * mass0:
+            raise MassLeak("density reached the grid boundary during evolution")
+        p = p_next
+    return _finalize_weights(points, p).weights
+
+
+def reference_pde(params, opt, grid):
+    """pde_price's own loops: identity boundary rows, two implicit half-steps,
+    then CN.  Returns the premium and the last CN step's scaled defect (the
+    loop took the worst over all steps; the diagnostic now reads the last)."""
+    x = grid.points()
+    n = grid.n_points
+    h = float(x[1] - x[0])
+    x0 = log_coordinate(params.u0)
+    t = opt.expiry
+    n_steps = max(1, math.ceil(t / grid.dt_step - 1e-12))
+    dtau = t / n_steps
+    nu = params.log_drift
+    diffusion = 0.5 * params.sigma * params.sigma
+    lower_c = diffusion / (h * h) - 0.5 * nu / h
+    diag_c = -2.0 * diffusion / (h * h) - params.drift_d
+    upper_c = diffusion / (h * h) + 0.5 * nu / h
+    theta = 0.5 * dtau
+    lhs_lower = np.full(n - 1, -theta * lower_c)
+    lhs_diag = np.full(n, 1.0 - theta * diag_c)
+    lhs_upper = np.full(n - 1, -theta * upper_c)
+    lhs_lower[-1] = lhs_upper[0] = 0.0
+    lhs_diag[0] = lhs_diag[-1] = 1.0
+    lhs = _TridiagonalLU(lhs_lower, lhs_diag, lhs_upper)
+
+    def apply_interior(v):
+        out = np.zeros_like(v)
+        out[1:-1] = lower_c * v[:-2] + diag_c * v[1:-1] + upper_c * v[2:]
+        return out
+
+    def boundary_values(tau):
+        disc_d = math.exp(-params.drift_d * tau)
+        disc_f = math.exp(-params.drift_f * tau)
+        if opt.kind == "call":
+            return 0.0, math.exp(x[-1]) * disc_f - opt.strike * disc_d
+        return opt.strike * disc_d - math.exp(x[0]) * disc_f, 0.0
+
+    values = opt.payoff(np.exp(x))
+    residual = 0.0
+    for tau in (0.5 * dtau, dtau):
+        rhs = values.copy()
+        rhs[0], rhs[-1] = boundary_values(tau)
+        values = lhs.solve(rhs)
+    for m in range(2, n_steps + 1):
+        rhs = values + 0.5 * dtau * apply_interior(values)
+        rhs[0], rhs[-1] = boundary_values(m * dtau)
+        new_values = lhs.solve(rhs)
+        mid = 0.5 * (values + new_values)
+        defect = (new_values - values) / dtau - apply_interior(mid)
+        scale = 1.0 + float(np.max(np.abs(mid)))
+        residual = float(np.max(np.abs(defect[1:-1]))) / scale
+        values = new_values
+
+    j = max(0, min(int(np.searchsorted(x, x0)) - 2, n - 4))
+    near = x[j : j + 4]
+    weights = [np.prod((x0 - near[near != xk]) / (xk - near[near != xk])) for xk in near]
+    return float(np.dot(weights, values[j : j + 4])), residual
+
+
+MARKET = MarketParams.risk_neutral(1.3, 0.05, 0.02, 0.25)
+
+PDE_CASES = {
+    "one_step": lambda opt: default_pde_grid(MARKET, opt, n_time_steps=1),
+    "two_steps": lambda opt: default_pde_grid(MARKET, opt, n_time_steps=2),
+    "default": lambda opt: default_pde_grid(MARKET, opt),
+    "fine_8x": lambda opt: default_pde_grid(MARKET, opt, n_points=8 * 1600 + 1),
+}
+
+
+class TestPdePrice:
+    @pytest.mark.parametrize("kind, strike", [("call", 1.1), ("put", 1.6)])
+    @pytest.mark.parametrize("case", sorted(PDE_CASES))
+    def test_bitwise_equal_to_reference_loop(self, case, kind, strike):
+        opt = OptionSpec(kind, strike, 0.7)
+        grid = PDE_CASES[case](opt)
+        result = pde_price(MARKET, opt, grid)
+        premium, residual = reference_pde(MARKET, opt, grid)
+        assert same_bits(result.premium, premium)
+        assert same_bits(result.diagnostics["residual"], residual)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("n_points", [3, 4])
+    @pytest.mark.parametrize("n_time_steps", [1, 2, 400])
+    def test_small_grids_bitwise_equal_to_reference_loop(
+        self, n_points, n_time_steps, kind
+    ):
+        # Log spot 0.3 (call) or -0.3 (put) on a (-2, 2) grid, where a 3-point
+        # grid's parabola keeps the premium positive.
+        market = MarketParams.risk_neutral(
+            math.exp(0.3 if kind == "call" else -0.3), 0.05, 0.02, 0.2
+        )
+        opt = OptionSpec(kind, 1.0, 1.0)
+        grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / n_time_steps)
+        result = pde_price(market, opt, grid)
+        premium, residual = reference_pde(market, opt, grid)
+        assert same_bits(result.premium, premium)
+        assert same_bits(result.diagnostics["residual"], residual)
+
+    def test_one_step_has_no_crank_nicolson_residual(self):
+        opt = OptionSpec("call", 1.1, 0.7)
+        result = pde_price(MARKET, opt, PDE_CASES["one_step"](opt))
+        assert result.diagnostics["residual"] == 0.0
+
+
+def point_mass_run(n_points, n_steps):
+    """A point mass evolved by n_steps steps of the default grid's 0.7/1000,
+    short enough for Crank-Nicolson to keep it non-negative."""
+    spec = default_grid(MARKET, 0.7, n_points=n_points, n_time_steps=1000)
+    t = n_steps * spec.dt_step
+    return point_mass_density(spec.points(), math.log(MARKET.u0)), MARKET, t, spec
+
+
+def small_grid_run(n_points, n_time_steps):
+    # The central node or two carry all the mass, so the support check passes;
+    # a tiny sigma keeps the boundary flux under the leak tolerance.
+    market = MarketParams(u0=1.0, drift_d=0.02, drift_f=0.02, sigma=5e-5)
+    spec = FPGridSpec(-1.0, 1.0, n_points, dt_step=1.0 / n_time_steps)
+    weights = np.zeros(n_points)
+    weights[(n_points - 1) // 2] = 0.6
+    weights[n_points // 2] += 0.4
+    return DensityGrid(spec.points(), weights), market, 1.0, spec
+
+
+FP_CASES = {
+    "one_step": lambda: point_mass_run(2001, 1),
+    "two_steps": lambda: point_mass_run(2001, 2),
+    "default": lambda: point_mass_run(2001, 1000),
+    "fine_8x": lambda: point_mass_run(8 * 2000 + 1, 1000),
+    "three_points_one_step": lambda: small_grid_run(3, 1),
+    "three_points": lambda: small_grid_run(3, 50),
+    "four_points_two_steps": lambda: small_grid_run(4, 2),
+    "four_points": lambda: small_grid_run(4, 50),
+}
+
+
+class TestEvolveDensity:
+    @pytest.mark.parametrize("case", sorted(FP_CASES))
+    def test_bitwise_equal_to_reference_loop(self, case):
+        args = FP_CASES[case]()
+        weights = evolve_density(*args).weights
+        assert same_bits(weights, reference_evolve(*args))
+        assert not same_bits(weights, args[0].weights)  # the density moved
+
+    def test_leak_raises_like_reference_loop(self):
+        # Spot near the top edge of a narrow grid: both loops hit the leak
+        # bound during the run.
+        spec = FPGridSpec(-1.0, 1.0, 201, dt_step=1e-3)
+        args = (point_mass_density(spec.points(), 0.26), MARKET, 5.0, spec)
+        with pytest.raises(MassLeak):
+            reference_evolve(*args)
+        with pytest.raises(MassLeak):
+            evolve_density(*args)

@@ -326,7 +326,6 @@ def _pde_banded_lhs(opt):
 
 def _patch_stepper(monkeypatch, cls):
     monkeypatch.setattr(fokker_planck, "_TridiagonalLU", cls)
-    monkeypatch.setattr(pricing, "_TridiagonalLU", cls)
 
 
 class TestTridiagonalLU:

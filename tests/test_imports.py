@@ -66,6 +66,16 @@ def test_scipy_free_commands(argv):
     assert scipy_loaded(_RUN_COMMAND, *argv) == []
 
 
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures, and the logging it imports, load only when a
+    # Monte Carlo run starts a pool.
+    code = "import sys\nimport entropic_fx.cli\nprint('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 def linalg_only(loaded: list[str]) -> bool:
     heavy = ("scipy.integrate", "scipy.interpolate")
     return "scipy.linalg" in loaded and not any(m.startswith(heavy) for m in loaded)

@@ -8,8 +8,8 @@ must match them to the bit, whatever the thread count.
 """
 
 import math
+import concurrent.futures
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -182,7 +182,7 @@ class TestChunkedStream:
             assert same_bits(block, whole[a : a + 3])
 
 
-class _RecordingPool(ThreadPoolExecutor):
+class _RecordingPool(concurrent.futures.ThreadPoolExecutor):
     created = []
 
     def __init__(self, max_workers=None, **kwargs):
@@ -193,7 +193,7 @@ class _RecordingPool(ThreadPoolExecutor):
 @pytest.fixture
 def recording_pool(monkeypatch):
     _RecordingPool.created = []
-    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     return _RecordingPool.created
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropic_fx import pricing
+from entropic_fx import fokker_planck, pricing
 from entropic_fx import (
     DomainError,
     FPGridSpec,
@@ -625,12 +625,12 @@ class TestPde:
         """pde_price's premium and the node values of its final solve."""
         solved = []
 
-        class Recording(pricing._TridiagonalLU):
+        class Recording(fokker_planck._TridiagonalLU):
             def solve(self, rhs):
                 solved.append(super().solve(rhs))
                 return solved[-1]
 
-        monkeypatch.setattr(pricing, "_TridiagonalLU", Recording)
+        monkeypatch.setattr(fokker_planck, "_TridiagonalLU", Recording)
         premium = pde_price(market, opt, grid).premium
         return premium, solved[-1]
 
