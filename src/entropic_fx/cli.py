@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
         p = sub.add_parser(command, help=_COMMAND_HELP[command])
-        # Read -5e-05 and -inf as values, not flags: argparse's own pattern
+        # Read -5e-05 and -inf as values, not flags: Python 3.11's argparse
         # takes only -5 and -0.5 forms for negative numbers.
         p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
         p.add_argument("--config", help="JSON file with default settings")

@@ -7,8 +7,8 @@ below are the whole-array forms of the same streams; every seeded output
 must match them to the bit, whatever the thread count.
 """
 
-import math
 import concurrent.futures
+import math
 import tracemalloc
 
 import numpy as np
