@@ -50,6 +50,8 @@ class MarketParams:
             raise DomainError("sigma must be positive and finite")
         if not (math.isfinite(self.drift_d) and math.isfinite(self.drift_f)):
             raise DomainError("drifts must be finite")
+        if not math.isfinite(self.log_drift):
+            raise DomainError("log drift drift_d - drift_f - sigma**2/2 overflows")
         if self.measure_tag not in _MEASURES:
             raise DomainError(
                 f"measure_tag must be one of {_MEASURES}, got {self.measure_tag!r}"
@@ -153,30 +155,28 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, block)))
 
 
-def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> None:
-    """Call ``fill(rng, lo, hi)`` for each block [lo, hi) of n_items.
+def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> list:
+    """``[fill(rng, lo, hi) for each block [lo, hi) of n_items]``, in block order.
 
     Each item takes n_draws draws, and a block holds ``max(1, _CHUNK //
     n_draws)`` items, the last one fewer.  Block b draws from
-    block_rng(seed, b), so the result depends on the seed, n_items and
+    block_rng(seed, b), so the results depend on the seed, n_items and
     n_draws, never on the thread count or the schedule.  The blocks run
     inline when min(n_threads, blocks, cores) is 1, else on that many threads.
     """
     size = max(1, _CHUNK // n_draws)
     n_blocks = -(-n_items // size)
 
-    def run(b: int) -> None:
-        fill(block_rng(seed, b), b * size, min((b + 1) * size, n_items))
+    def run(b: int):
+        return fill(block_rng(seed, b), b * size, min((b + 1) * size, n_items))
 
     workers = min(n_threads, n_blocks, os.cpu_count() or 1)
     if workers == 1:
-        for b in range(n_blocks):
-            run(b)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return [run(b) for b in range(n_blocks)]
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(n_blocks)))
 
 
 def _walk(rng: np.random.Generator, params: MarketParams, horizon: float, z, out) -> None:

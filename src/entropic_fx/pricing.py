@@ -122,6 +122,16 @@ class PriceResult:
         )
 
 
+def _discount(rate: float, t: float) -> float:
+    """Discount factor e^{-rate t}; NumericalError where it overflows a float."""
+    try:
+        return math.exp(-rate * t)
+    except OverflowError:
+        raise NumericalError(
+            f"discount factor exp({-rate * t!r}) overflows a float"
+        ) from None
+
+
 def _check_premium(premium: float) -> None:
     if not math.isfinite(premium):
         raise NumericalError("premium must be finite")
@@ -174,8 +184,8 @@ def _gk_premium(
 ) -> float:
     """s (u0 e^{-rf T} N(s d1) - K e^{-rd T} N(s d2)), s = +1 call, -1 put."""
     s = 1.0 if kind == CALL else -1.0
-    spot_leg = params.u0 * math.exp(-params.drift_f * expiry) * std_normal_cdf(s * d1)
-    strike_leg = strike * math.exp(-params.drift_d * expiry) * std_normal_cdf(s * d2)
+    spot_leg = params.u0 * _discount(params.drift_f, expiry) * std_normal_cdf(s * d1)
+    strike_leg = strike * _discount(params.drift_d, expiry) * std_normal_cdf(s * d2)
     # Subtracting in the sign's order, not multiplying by s, keeps a put
     # whose legs cancel exactly at +0.0.
     return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
@@ -221,9 +231,9 @@ def parity_residual(
     put = _gk_premium(params, PUT, strike, expiry, d1, d2)
     _check_premium(call)
     _check_premium(put)
-    forward_leg = params.u0 * math.exp(
-        -params.drift_f * expiry
-    ) - strike * math.exp(-params.drift_d * expiry)
+    forward_leg = params.u0 * _discount(params.drift_f, expiry) - strike * _discount(
+        params.drift_d, expiry
+    )
     return call - put - forward_leg
 
 
@@ -259,7 +269,7 @@ def quadrature_price(
     t = opt.expiry
     mean = log_coordinate(params.u0) + params.log_drift * t
     sd = params.sigma * math.sqrt(t)
-    discount = math.exp(-params.drift_d * t)
+    discount = _discount(params.drift_d, t)
     strike_z = (math.log(opt.strike) - mean) / sd
 
     # Integrate in standardized units z = (ln u_T - mean)/sd so the
@@ -298,6 +308,19 @@ def quadrature_price(
     )
 
 
+def _moments(samples: np.ndarray) -> tuple[int, float, float, int]:
+    """(count, mean, sum of squared deviations, nonzero count) of samples,
+    which it overwrites.
+
+    The operations are np.std's, without BLAS: a np.dot of the deviations
+    would start BLAS threads inside each worker thread.
+    """
+    n_hits = int(np.count_nonzero(samples))
+    mean = float(np.mean(samples))
+    samples -= mean
+    return samples.size, mean, float(np.square(samples, out=samples).sum()), n_hits
+
+
 def mc_price(
     params: MarketParams,
     opt: OptionSpec,
@@ -317,6 +340,11 @@ def mc_price(
     the noise; each pair is one sample, and the standard error needs two.
     The draws come in blocks with their own streams, so the result does not
     depend on ``n_partitions``, the number of threads the blocks run on.
+    Each block reduces its samples to (count, mean, sum of squared
+    deviations) in a block-sized buffer, and the blocks' moments are merged
+    in block order, so memory is one block per thread at any n_paths.
+    ``diagnostics["n_hits"]`` counts the nonzero samples (an antithetic
+    pair is a hit if either leg pays); with none, ``std_error`` is 0.
     """
     _require_risk_neutral(params)
     if n_paths < 2:
@@ -337,25 +365,25 @@ def mc_price(
         raise DomainError("antithetic sampling requires n_paths of at least 4")
 
     t = opt.expiry
-    discount = math.exp(-params.drift_d * t)
+    discount = _discount(params.drift_d, t)
 
     if n_steps > 1:
-        samples = np.empty(n_paths)
+        n_samples = n_paths
 
-        def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+        def fill(rng: np.random.Generator, lo: int, hi: int) -> tuple:
             # simulate_paths' rows [lo, hi), of which only the last column stays.
             z = np.empty((hi - lo, n_steps))
             _walk(rng, params, t, z, z)
-            opt._payoff_in_place(np.exp(z[:, -1], out=samples[lo:hi]))
+            return _moments(opt._payoff_in_place(np.exp(z[:, -1])))
     else:
         mean = log_coordinate(params.u0) + params.log_drift * t
         sd = params.sigma * math.sqrt(t)
-        samples = np.empty(n_paths // 2 if antithetic else n_paths)
+        n_samples = n_paths // 2 if antithetic else n_paths
 
-        def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+        def fill(rng: np.random.Generator, lo: int, hi: int) -> tuple:
             # Each block of draws becomes its samples in place, by the
             # operations of payoff(exp(mean +/- sd * z)) and 0.5 * (up + dn).
-            up = samples[lo:hi]
+            up = np.empty(hi - lo)
             rng.standard_normal(out=up)
             up *= sd
             if antithetic:
@@ -366,12 +394,22 @@ def mc_price(
                 opt._payoff_in_place(np.exp(dn, out=dn))
                 up += dn
                 up *= 0.5
+            return _moments(up)
 
-    _run_blocks(samples.size, n_steps, seed, n_partitions, fill)
+    # Chan, Golub & LeVeque's pairwise update, in block order from block 0's
+    # own moments, so that one block gives np.mean and np.std bit for bit.
+    blocks = _run_blocks(n_samples, n_steps, seed, n_partitions, fill)
+    n, sample_mean, m2, n_hits = blocks[0]
+    for n_b, mean_b, m2_b, hits_b in blocks[1:]:
+        delta = mean_b - sample_mean
+        total = n + n_b
+        sample_mean += delta * n_b / total
+        m2 += m2_b + delta * delta * n * n_b / total
+        n = total
+        n_hits += hits_b
 
-    n = samples.size
-    premium = discount * float(np.mean(samples))
-    std_error = discount * float(np.std(samples, ddof=1)) / math.sqrt(n)
+    premium = discount * sample_mean
+    std_error = discount * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return PriceResult(
         premium=premium,
         method="monte_carlo",
@@ -379,6 +417,7 @@ def mc_price(
         diagnostics={
             "n_paths": n_paths,
             "n_samples": n,
+            "n_hits": n_hits,
             "antithetic": antithetic,
             "n_steps": n_steps,
             "seed": int(seed),
@@ -478,8 +517,8 @@ def pde_price(
     def boundary_values(step: int) -> tuple[float, float]:
         # Steps 0 and 1 are the implicit half-steps to dtau/2 and dtau, then one per dtau.
         tau = max(step, 0.5) * dtau
-        disc_d = math.exp(-params.drift_d * tau)
-        disc_f = math.exp(-params.drift_f * tau)
+        disc_d = _discount(params.drift_d, tau)
+        disc_f = _discount(params.drift_f, tau)
         if opt.kind == CALL:
             return 0.0, math.exp(x[-1]) * disc_f - opt.strike * disc_d
         return opt.strike * disc_d - math.exp(x[0]) * disc_f, 0.0

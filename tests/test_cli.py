@@ -323,6 +323,33 @@ class TestNegativeNumbers:
         assert exponent.stdout == decimal.stdout
 
 
+class TestOverflowingInputs:
+    """Finite inputs whose sigma**2 or discount factor overflows a float exit
+    2 or 3 with one JSON error line, not a traceback or a number."""
+
+    CONTRACT = "--u0 1 --rf 0.01 --strike 1 --expiry 1"
+
+    @pytest.mark.parametrize("command, error, code", [
+        (f"price {CONTRACT} --rd 0.03 --sigma 1e200 --kind call", "DomainError", 2),
+        (f"price {CONTRACT} --rd 0.03 --sigma 1e200 --kind call --method monte_carlo",
+         "DomainError", 2),
+        ("simulate --u0 1 --rf 0.01 --rd 0.03 --sigma 1e200 --n-paths 2 --n-steps 2 --horizon 1",
+         "DomainError", 2),
+        (f"price {CONTRACT} --rd -800 --sigma 0.2 --kind call", "NumericalError", 3),
+        (f"price {CONTRACT} --rd -800 --sigma 0.2 --kind call --method quadrature",
+         "NumericalError", 3),
+        (f"price {CONTRACT} --rd -800 --sigma 0.2 --kind call --method monte_carlo",
+         "NumericalError", 3),
+        (f"parity {CONTRACT} --rd -800 --sigma 0.2", "NumericalError", 3),
+    ])
+    def test_exits_with_one_json_error(self, command, error, code):
+        proc = run_cli(*command.split())
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == error
+
+
 class TestConfigFile:
     def config(self, tmp_path, payload):
         path = tmp_path / "config.json"

@@ -2,8 +2,10 @@
 
 ``mc_price`` and ``simulate_paths`` cut their draws into fixed blocks, draw
 block b from ``block_rng(seed, b)`` into a block-sized buffer and transform
-it in place, on however many threads ``n_partitions`` allows.  The references
-below are the whole-array forms of the same streams; every seeded output
+it in place, on however many threads ``n_partitions`` allows; ``mc_price``
+then reduces each block to its moments and merges them in block order.  The
+references below are the whole-array forms of the same streams, whose
+samples are cut into the same blocks for their moments; every seeded output
 must match them to the bit, whatever the thread count.
 """
 
@@ -52,10 +54,9 @@ def reference_log_paths(params, horizon, n_steps, n_paths, seed):
     return log_paths
 
 
-def reference_mc_price(params, opt, n_paths, seed, antithetic, n_steps):
-    """(premium, std_error) of mc_price from whole-array temporaries."""
+def reference_samples(params, opt, n_paths, seed, antithetic, n_steps):
+    """mc_price's samples from whole-array temporaries."""
     t = opt.expiry
-    discount = math.exp(-params.drift_d * t)
     if n_steps > 1:
         log_paths = reference_log_paths(params, t, n_steps, n_paths, seed)
         samples = opt.payoff(np.exp(log_paths[:, -1]))
@@ -70,10 +71,34 @@ def reference_mc_price(params, opt, n_paths, seed, antithetic, n_steps):
             samples = 0.5 * (up + dn)
         else:
             samples = opt.payoff(np.exp(mean + sd * z))
-    n = samples.size
-    premium = discount * float(np.mean(samples))
-    std_error = discount * float(np.std(samples, ddof=1)) / math.sqrt(n)
-    return premium, std_error
+    return samples
+
+
+def merged_moments(samples, block_size):
+    """(count, mean, sum of squared deviations) of samples, from the moments
+    of each block_size slice merged in order by Chan, Golub & LeVeque's update."""
+    n = 0
+    for lo in range(0, samples.size, block_size):
+        block = samples[lo : lo + block_size]
+        n_b, mean_b = block.size, float(np.mean(block))
+        m2_b = float(np.sum((block - mean_b) ** 2))
+        if n == 0:
+            n, mean, m2 = n_b, mean_b, m2_b
+            continue
+        delta = mean_b - mean
+        total = n + n_b
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * n * n_b / total
+        n = total
+    return n, mean, m2
+
+
+def reference_mc_price(params, opt, n_paths, seed, antithetic, n_steps):
+    """(premium, std_error) of mc_price from whole-array temporaries."""
+    discount = math.exp(-params.drift_d * opt.expiry)
+    samples = reference_samples(params, opt, n_paths, seed, antithetic, n_steps)
+    n, mean, m2 = merged_moments(samples, max(1, _CHUNK // n_steps))
+    return discount * mean, discount * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def assert_mc_matches_reference(opt, n_paths, seed, antithetic, n_steps, n_partitions):
@@ -255,6 +280,66 @@ class TestMultiStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestSingleStepMemory:
+    def test_keeps_no_samples(self):
+        # 10^6 antithetic pairs are 8 MB of samples, and np.std made a second
+        # copy; blocks of moments keep one 512 KiB block and its mirror per thread.
+        opt = OptionSpec("call", 1.1, 1.0)
+        tracemalloc.start()
+        try:
+            mc_price(MARKET, opt, 2_000_000, 5, antithetic=True, n_partitions=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestMergedMoments:
+    # Merged block moments round differently from one whole-array pass, but
+    # by no more than a few units in the last place.
+    @pytest.mark.parametrize("n_paths, antithetic, n_steps", [
+        (2 * (3 * _CHUNK + 7), True, 1),
+        (3 * _CHUNK + 7, False, 1),
+        (1_000_000, True, 1),
+        (3 * (_CHUNK // 12) + 7, False, 12),
+    ])
+    @pytest.mark.parametrize("opt", OPTIONS)
+    def test_close_to_whole_array_moments(self, opt, n_paths, antithetic, n_steps):
+        got = mc_price(MARKET, opt, n_paths, 41, antithetic=antithetic, n_steps=n_steps,
+                       n_partitions=2)
+        samples = reference_samples(MARKET, opt, n_paths, 41, antithetic, n_steps)
+        discount = math.exp(-MARKET.drift_d * opt.expiry)
+        premium = discount * float(np.mean(samples))
+        std_error = discount * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+        assert got.premium == pytest.approx(premium, rel=1e-14, abs=0.0)
+        assert got.std_error == pytest.approx(std_error, rel=1e-14, abs=0.0)
+
+
+class TestHits:
+    def test_deep_out_of_the_money_put_has_none(self):
+        # True premium 1.8e-8: no pair of 10,000 reaches the strike, and the
+        # zero standard error is read with n_hits == 0, not raised.
+        res = mc_price(MARKET, OptionSpec("put", 0.4, 0.5), 20_000, 3)
+        assert res.diagnostics["n_hits"] == 0
+        assert res.premium == 0.0 and res.std_error == 0.0
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_at_the_money_call_has_some(self, antithetic):
+        res = mc_price(MARKET, OptionSpec("call", 1.1, 1.0), 20_000, 3, antithetic=antithetic)
+        assert 0 < res.diagnostics["n_hits"] < res.diagnostics["n_samples"]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_counts_nonzero_samples_at_any_thread_count(self, antithetic):
+        # A pair is a hit when either leg pays, which makes its mean nonzero.
+        opt = OptionSpec("put", 1.0, 0.8)
+        n_paths = 2 * (3 * _CHUNK + 7)
+        want = np.count_nonzero(reference_samples(MARKET, opt, n_paths, 8, antithetic, 1))
+        for n_partitions in (1, 2, 5):
+            res = mc_price(MARKET, opt, n_paths, 8, antithetic=antithetic,
+                           n_partitions=n_partitions)
+            assert res.diagnostics["n_hits"] == want, n_partitions
 
 
 class TestPartitionRunner:
