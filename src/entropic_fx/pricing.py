@@ -231,8 +231,9 @@ def parity_residual(
     put = _gk_premium(params, PUT, strike, expiry, d1, d2)
     _check_premium(call)
     _check_premium(put)
-    forward_leg = params.u0 * _discount(params.drift_f, expiry) - strike * _discount(
-        params.drift_d, expiry
+    forward_leg = (
+        params.u0 * _discount(params.drift_f, expiry)
+        - strike * _discount(params.drift_d, expiry)
     )
     return call - put - forward_leg
 
@@ -396,8 +397,9 @@ def mc_price(
                 up *= 0.5
             return _moments(up)
 
-    # Chan, Golub & LeVeque's pairwise update, in block order from block 0's
-    # own moments, so that one block gives np.mean and np.std bit for bit.
+    # Chan, Golub & LeVeque's update for the moments of two sets, in block
+    # order from block 0's own moments, not from zeros, so that one block
+    # gives np.mean's and np.std's values by construction.
     blocks = _run_blocks(n_samples, n_steps, seed, n_partitions, fill)
     n, sample_mean, m2, n_hits = blocks[0]
     for n_b, mean_b, m2_b, hits_b in blocks[1:]:

@@ -297,6 +297,22 @@ class TestSingleStepMemory:
 
 
 class TestMergedMoments:
+    @pytest.mark.parametrize("n_paths", [2, 3, 7, 101, 10_001, _CHUNK - 1])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_one_block_equals_whole_array_moments(self, antithetic, n_paths):
+        # One block's premium and standard error are np.mean's and np.std's
+        # on its samples, bit for bit.
+        if antithetic:
+            n_paths = 2 * n_paths + 2
+        opt = OptionSpec("call", 1.05, 0.7)
+        discount = math.exp(-MARKET.drift_d * opt.expiry)
+        for seed in range(10):
+            got = mc_price(MARKET, opt, n_paths, seed, antithetic=antithetic)
+            samples = reference_samples(MARKET, opt, n_paths, seed, antithetic, 1)
+            std = float(np.std(samples, ddof=1))
+            assert same_bits(got.premium, discount * float(np.mean(samples)))
+            assert same_bits(got.std_error, discount * std / math.sqrt(samples.size))
+
     # Merged block moments round differently from one whole-array pass, but
     # by no more than a few units in the last place.
     @pytest.mark.parametrize("n_paths, antithetic, n_steps", [
