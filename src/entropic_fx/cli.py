@@ -41,6 +41,10 @@ _ALL_QUAD_TOL = 1e-8
 _ALL_MC_SIGMAS = 4.0
 _ALL_PDE_RELTOL = 1e-3
 
+# The largest maxent-check grid, checked before anything is allocated: the
+# solver needs about 110 bytes per point, so this is about 0.1 GB.
+_MAXENT_MAX_POINTS = 1_000_000
+
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
@@ -324,20 +328,25 @@ def cmd_parity(settings: dict) -> None:
         if settings["sweep_seed"] < 0:
             raise DomainError("sweep_seed must be a non-negative integer")
         rng = np.random.default_rng(settings["sweep_seed"])
+        n_cases = settings["sweep"]
         worst = 0.0
         violations = 0
-        for _ in range(settings["sweep"]):
-            strike = market.u0 * math.exp(rng.uniform(-0.7, 0.7))
-            expiry = rng.uniform(0.1, 5.0)
-            residual = abs(pricing.parity_residual(market, strike, expiry))
-            worst = max(worst, residual)
-            if residual > 1e-12 * max(market.u0, strike):
-                violations += 1
+        # Each case draws uniform(-0.7, 0.7), then uniform(0.1, 5.0); a block
+        # of rows draws the same stream in the same order.
+        for lo in range(0, n_cases, 65_536):
+            size = (min(65_536, n_cases - lo), 2)
+            cases = rng.uniform([-0.7, 0.1], [0.7, 5.0], size).tolist()
+            for log_moneyness, expiry in cases:
+                strike = market.u0 * math.exp(log_moneyness)
+                residual = abs(pricing.parity_residual(market, strike, expiry))
+                worst = max(worst, residual)
+                if residual > 1e-12 * max(market.u0, strike):
+                    violations += 1
         if violations:
             raise NumericalError(
-                f"{violations} of {settings['sweep']} parity cases exceed the bound"
+                f"{violations} of {n_cases} parity cases exceed the bound"
             )
-        _print_json({"max_abs_residual": worst, "n_cases": settings["sweep"]})
+        _print_json({"max_abs_residual": worst, "n_cases": n_cases})
         return
     residual = pricing.parity_residual(market, settings["strike"], settings["expiry"])
     bound = 1e-12 * max(market.u0, settings["strike"])
@@ -394,7 +403,13 @@ def cmd_maxent_check(settings: dict) -> None:
     if not (extent_sigmas > 0.0 and math.isfinite(extent_sigmas)):
         raise DomainError("extent_sigmas must be positive and finite")
     half = extent_sigmas * math.sqrt(k)
-    n = max(3, int(round(2.0 * half / spacing)) + 1)
+    intervals = 2.0 * half / spacing  # inf where it overflows
+    if not intervals + 1.0 <= _MAXENT_MAX_POINTS:
+        raise DomainError(
+            f"grid of {intervals + 1.0:.3g} points exceeds {_MAXENT_MAX_POINTS}: "
+            "raise spacing or lower k or extent_sigmas"
+        )
+    n = max(3, int(round(intervals)) + 1)
     points = np.linspace(-half, half, n)
     prior = gaussian_density(points, 0.0, k)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
+from .grids import _csv_rows
 
 PHYSICAL = "physical"
 RISK_NEUTRAL = "risk_neutral"
@@ -241,13 +242,5 @@ def simulate_paths(
 
 def paths_to_csv(paths: PathSet) -> str:
     """Serialize as ``time,path_0,...`` rows with 17 significant digits."""
-    lines = ["time," + ",".join(f"path_{j}" for j in range(paths.n_paths)) + "\n"]
-    # One %-format per row over Python floats; "%.17g" of a float gives the
-    # same text as f"{v:.17g}" of the float64 it came from.  Converting a
-    # column at a time keeps peak memory at that of the text itself.
-    row_format = ",".join(["%.17g"] * (paths.n_paths + 1)) + "\n"
-    lines += [
-        row_format % (t, *column.tolist())
-        for t, column in zip(paths.times.tolist(), paths.log_paths.T)
-    ]
-    return "".join(lines)
+    header = "time," + ",".join(f"path_{j}" for j in range(paths.n_paths)) + "\n"
+    return _csv_rows(header, np.column_stack((paths.times, paths.log_paths.T)))

@@ -221,21 +221,25 @@ def parity_residual(
 ) -> float:
     """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding.
 
-    C and P are computed separately from one d1/d2 pair, exactly as
-    ``gk_call`` and ``gk_put`` compute them, and checked as premiums are.
+    C and P are computed separately from one d1/d2 pair and one erfc tail
+    per leg, with the arithmetic of ``gk_call`` and ``gk_put``, and checked
+    as premiums are.
     """
     _check_contract(strike, expiry)
     _require_risk_neutral(params)
     d1, d2 = _d1_d2(params, strike, expiry)
-    call = _gk_premium(params, CALL, strike, expiry, d1, d2)
-    put = _gk_premium(params, PUT, strike, expiry, d1, d2)
+    spot = params.u0 * _discount(params.drift_f, expiry)
+    strike_pv = strike * _discount(params.drift_d, expiry)
+    # std_normal_cdf(d) and std_normal_cdf(-d) share d's erfc tail t.
+    t1 = 0.5 * math.erfc(abs(d1) / math.sqrt(2.0))
+    t2 = 0.5 * math.erfc(abs(d2) / math.sqrt(2.0))
+    n1, n2 = (t1 if d1 <= 0.0 else 1.0 - t1), (t2 if d2 <= 0.0 else 1.0 - t2)
+    m1, m2 = (t1 if d1 >= 0.0 else 1.0 - t1), (t2 if d2 >= 0.0 else 1.0 - t2)
+    call = spot * n1 - strike_pv * n2
+    put = strike_pv * m2 - spot * m1
     _check_premium(call)
     _check_premium(put)
-    forward_leg = (
-        params.u0 * _discount(params.drift_f, expiry)
-        - strike * _discount(params.drift_d, expiry)
-    )
-    return call - put - forward_leg
+    return call - put - (spot - strike_pv)
 
 
 @functools.cache

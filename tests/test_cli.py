@@ -14,7 +14,7 @@ from entropic_fx import (
     closed_form_price,
     density_from_csv,
 )
-from entropic_fx import cli
+from entropic_fx import cli, pricing
 from entropic_fx.cli import build_parser, resolve_settings
 
 STD_FLAGS = [
@@ -557,6 +557,52 @@ class TestParityCommand:
         [line] = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "DomainError"
 
+    @staticmethod
+    def sweep_before(market, n_cases, seed):
+        """The sweep as written before its draws were taken in blocks: one
+        uniform draw at a time, and the residual from two _gk_premium calls
+        that each compute both discount factors and their own erfc tails."""
+        rng = np.random.default_rng(seed)
+        worst, violations = 0.0, 0
+        for _ in range(n_cases):
+            strike = market.u0 * math.exp(rng.uniform(-0.7, 0.7))
+            expiry = rng.uniform(0.1, 5.0)
+            d1, d2 = pricing._d1_d2(market, strike, expiry)
+            call = pricing._gk_premium(market, "call", strike, expiry, d1, d2)
+            put = pricing._gk_premium(market, "put", strike, expiry, d1, d2)
+            forward_leg = market.u0 * math.exp(-market.drift_f * expiry) - strike * math.exp(
+                -market.drift_d * expiry
+            )
+            residual = abs(call - put - forward_leg)
+            worst = max(worst, residual)
+            if residual > 1e-12 * max(market.u0, strike):
+                violations += 1
+        return worst, violations
+
+    @pytest.mark.parametrize(
+        "rf, sigma, n_cases, seed",
+        [
+            (0.02, 0.2, 3000, 0), (0.02, 0.2, 3000, 3), (0.02, 0.2, 3000, 17),
+            (0.02, 0.2, 70_000, 12345),  # more than one block of draws
+            (-3.0, 1.0, 3000, 3),  # some cases exceed the bound: exit 3
+        ],
+    )
+    def test_sweep_matches_the_per_case_loop(self, rf, sigma, n_cases, seed, capsys):
+        market = MarketParams.risk_neutral(1.1, 0.01, rf, sigma)
+        worst, violations = self.sweep_before(market, n_cases, seed)
+        code = cli.main([
+            "parity", "--u0", "1.1", "--rd", "0.01", "--rf", repr(rf),
+            "--sigma", repr(sigma), "--strike", "1", "--expiry", "1",
+            "--sweep", str(n_cases), "--sweep-seed", str(seed),
+        ])
+        out, err = capsys.readouterr()
+        if violations:
+            assert code == 3
+            assert f"{violations} of {n_cases} parity cases" in json.loads(err)["message"]
+        else:
+            assert code == 0
+            assert out == json.dumps({"max_abs_residual": worst, "n_cases": n_cases}) + "\n"
+
     def test_physical_measure_exits_3(self):
         proc = run_cli(
             "parity",
@@ -593,6 +639,22 @@ class TestSimulateCommand:
         assert proc.stdout == ""
         inline = run_cli("simulate", *self.BASE, check=True)
         assert target.read_text() == inline.stdout
+
+    def test_file_is_the_per_row_percent_g_text(self, tmp_path):
+        # Each row as one "%.17g,...,%.17g" % row, as the writer printed it
+        # before it formatted values with numpy; 17 digits read back exactly.
+        target = tmp_path / "paths.csv"
+        run_cli(
+            "simulate", "--u0", "0.0081", "--rd", "0.1", "--rf", "0.0", "--sigma", "1.5",
+            "--horizon", "1.7", "--n-steps", "60", "--n-paths", "300", "--seed", "21",
+            "--output", str(target), check=True,
+        )
+        header, *rows = target.read_text().splitlines(keepends=True)
+        assert header == "time," + ",".join(f"path_{j}" for j in range(300)) + "\n"
+        assert len(rows) == 61
+        for row in rows:
+            values = [float(cell) for cell in row.split(",")]
+            assert row == ",".join(["%.17g"] * 301) % tuple(values) + "\n"
 
     def test_tiny_sigma_terminal_is_drift(self):
         proc = run_cli(
@@ -660,6 +722,20 @@ class TestFokkerPlanckCommand:
         )
         density = density_from_csv(target.read_text())
         assert density.n == 251
+
+    def test_file_is_the_per_row_f_string_text(self, tmp_path):
+        # Each row as f"{x:.17g},{p:.17g}", as the writer printed it before
+        # it formatted values with numpy.
+        target = tmp_path / "density.csv"
+        run_cli(
+            "fokker-planck", "--u0", "2.5", "--rd", "0.1", "--rf", "0.0", "--sigma", "0.6",
+            "--t", "2.0", "--n-points", "801", "--n-time-steps", "300",
+            "--output", str(target), check=True,
+        )
+        text = target.read_text()
+        density = density_from_csv(text)
+        rows = [f"{x:.17g},{p:.17g}\n" for x, p in zip(density.points, density.weights)]
+        assert text == "x,p\n" + "".join(rows)
 
     def test_narrow_grid_exits_3(self):
         proc = run_cli(
@@ -730,6 +806,40 @@ class TestMaxentCheckCommand:
         proc = run_cli("maxent-check", flag, value)
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "DomainError"
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", "1e300"], ["--extent-sigmas", "1e200"], ["--spacing", "1e-9"],
+            ["--spacing", "5e-324"], ["--k", "1e308", "--extent-sigmas", "1e200"],
+        ],
+        ids=["k", "extent_sigmas", "spacing", "subnormal_spacing", "overflow"],
+    )
+    def test_oversized_grid_exits_2_before_allocating(self, flags, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        assert cli.main(["maxent-check", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_grid_limit_counts_points(self, monkeypatch, capsys):
+        # The default grid is 2 * 10 * sqrt(0.04) / 1e-3 + 1 = 4001 points.
+        monkeypatch.setattr(cli, "_MAXENT_MAX_POINTS", 4000)
+        assert cli.main(["maxent-check"]) == 2
+        monkeypatch.setattr(cli, "_MAXENT_MAX_POINTS", 4001)
+        assert cli.main(["maxent-check"]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] > 0
+
+    def test_huge_k_exits_2(self):
+        proc = run_cli("maxent-check", "--k", "1e300")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
 
 
 class TestPipelines:

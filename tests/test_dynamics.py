@@ -308,8 +308,8 @@ class TestPathsCsv:
             assert cells[0] == paths.times[i]
             assert cells[1:] == list(paths.log_paths[:, i])
 
-    # The row-at-a-time writer must match the per-value f"{v:.17g}" writer
-    # it replaced, byte for byte.
+    # paths_to_csv must match the per-value f"{v:.17g}" writer, byte for
+    # byte.
     @staticmethod
     def per_value_csv(paths):
         lines = ["time," + ",".join(f"path_{j}" for j in range(paths.n_paths))]
