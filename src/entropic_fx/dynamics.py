@@ -243,4 +243,4 @@ def simulate_paths(
 def paths_to_csv(paths: PathSet) -> str:
     """Serialize as ``time,path_0,...`` rows with 17 significant digits."""
     header = "time," + ",".join(f"path_{j}" for j in range(paths.n_paths)) + "\n"
-    return _csv_rows(header, np.column_stack((paths.times, paths.log_paths.T)))
+    return _csv_rows(header, paths.times, paths.log_paths.T)

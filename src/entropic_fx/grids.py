@@ -151,64 +151,74 @@ def _round_17(a: np.ndarray, e: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _csv_rows(header: str, table: np.ndarray) -> str:
-    """header, then each row of a 2-D float array as a CSV line, every value
-    as "%.17g" prints it.
+def _csv_rows(header: str, *columns: np.ndarray) -> str:
+    """header, then one CSV line per row of the columns, 1-D arrays or 2-D
+    blocks joined as np.column_stack joins them, every value as "%.17g"
+    prints it."""
+    n_rows = len(columns[0])
+    n_cols = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    step = max(1, 4096 // n_cols)
+    out = bytearray(header.encode())
+    # Whole rows, then 4096 values, at a time keep the temporaries near 1 MB
+    # without a copy of the table.
+    for row in range(0, n_rows, step):
+        block = np.column_stack([c[row : row + step] for c in columns])
+        values = block.astype(float, copy=False).ravel()
+        for start in range(0, values.size, 4096):
+            out += _csv_chunk(values[start : start + 4096], start, n_cols)
+    return out.decode("ascii")
+
+
+def _csv_chunk(x: np.ndarray, start: int, n_cols: int) -> bytes:
+    """The CSV text of values start, start + 1, ... of a block of whole rows.
 
     1e-4 <= |x| < 1e16, which "%.17g" prints in fixed notation, is laid out
     in 41 bytes: sign, "0.000", 17 digits each followed by a point slot, and
     the separator, with every byte "%.17g" would not print NUL and dropped.
-    Other values go to "%.17g" itself."""
+    Other values go to "%.17g" itself; the temporaries are freed on return."""
     groups, heads, powers = _csv_tables()
-    n_cols = table.shape[1]
-    values = np.ascontiguousarray(table, dtype=float).ravel()
     place = np.arange(17, dtype=np.int8)
-    out = bytearray(header.encode())
-    # 4096 values at a time keep the temporaries near 1 MB.
-    for start in range(0, values.size, 4096):
-        x = values[start : start + 4096]
-        a = np.abs(x)
-        fast = (a >= 1e-4) & (a < 1e16)
-        a[~fast] = 1.0
-        e = np.floor(np.log10(a)).astype(np.int64)
-        n = _round_17(a, e, powers)
-        # log10 may be one off near a power of ten, and rounding may carry
-        # into an 18th digit: move the exponent and round again.
-        e += (n >= 10**17).astype(np.int64) - (n < 10**16)
-        redo = np.flatnonzero((n < 10**16) | (n >= 10**17))
-        n[redo] = _round_17(a[redo], e[redo], powers)
-        fast &= (e >= -4) & (e <= 15) & (n >= 10**16) & (n < 10**17)
-        quads = np.empty((x.size, 4), np.int64)
-        for j in (3, 2, 1, 0):  # floor_divide by a constant is faster than divmod
-            rest = n // 10_000
-            quads[:, j], n = n - rest * 10_000, rest
-        d = np.empty((x.size, 17), "<u2")  # digit, then point slot
-        d[:, 0] = n + 48
-        d[:, 1:] = np.take(groups, quads).view("<u2")
-        e = e.astype(np.int8)  # -4..15 in the fast slots; small types are faster
-        # Only digits that end in 0 have trailing zeros to drop.
-        last = np.full(x.size, 16, np.int8)  # last nonzero digit
-        ends_in_0 = np.flatnonzero(d[:, 16] == 48)
-        last[ends_in_0] = 16 - np.argmax(d[ends_in_0, ::-1] != 48, axis=1)
-        d[ends_in_0] *= place <= np.maximum(last, e)[ends_in_0, None]
-        point = np.flatnonzero((e >= 0) & (last > e))
-        d[point, e[point]] |= 0x2E00
-        buf = np.empty((x.size, 41), np.uint8)
-        head = np.take(heads, 5 * (x < 0) + np.clip(-e, 0, 4))
-        buf[:, :6] = head.view(np.uint8).reshape(x.size, 8)[:, :6]
-        buf[:, 6:40] = d.view(np.uint8)
-        row_end = np.arange(start, start + x.size) % n_cols == n_cols - 1
-        buf[:, 40] = np.where(row_end, 10, 44)
-        slow = np.flatnonzero(~fast)
-        buf[slow, :40] = np.frombuffer(b"%.17g".ljust(40, b"\0"), np.uint8)
-        text = buf.tobytes().translate(None, b"\0")
-        out += text % tuple(x[slow].tolist()) if slow.size else text
-    return out.decode("ascii")
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n = _round_17(a, e, powers)
+    # log10 may be one off near a power of ten, and rounding may carry
+    # into an 18th digit: move the exponent and round again.
+    e += (n >= 10**17).astype(np.int64) - (n < 10**16)
+    redo = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    n[redo] = _round_17(a[redo], e[redo], powers)
+    fast &= (e >= -4) & (e <= 15) & (n >= 10**16) & (n < 10**17)
+    quads = np.empty((x.size, 4), np.int64)
+    for j in (3, 2, 1, 0):  # floor_divide by a constant is faster than divmod
+        rest = n // 10_000
+        quads[:, j], n = n - rest * 10_000, rest
+    d = np.empty((x.size, 17), "<u2")  # digit, then point slot
+    d[:, 0] = n + 48
+    d[:, 1:] = np.take(groups, quads).view("<u2")
+    e = e.astype(np.int8)  # -4..15 in the fast slots; small types are faster
+    # Only digits that end in 0 have trailing zeros to drop.
+    last = np.full(x.size, 16, np.int8)  # last nonzero digit
+    ends_in_0 = np.flatnonzero(d[:, 16] == 48)
+    last[ends_in_0] = 16 - np.argmax(d[ends_in_0, ::-1] != 48, axis=1)
+    d[ends_in_0] *= place <= np.maximum(last, e)[ends_in_0, None]
+    point = np.flatnonzero((e >= 0) & (last > e))
+    d[point, e[point]] |= 0x2E00
+    buf = np.empty((x.size, 41), np.uint8)
+    head = np.take(heads, 5 * (x < 0) + np.clip(-e, 0, 4))
+    buf[:, :6] = head.view(np.uint8).reshape(x.size, 8)[:, :6]
+    buf[:, 6:40] = d.view(np.uint8)
+    row_end = np.arange(start, start + x.size) % n_cols == n_cols - 1
+    buf[:, 40] = np.where(row_end, 10, 44)
+    slow = np.flatnonzero(~fast)
+    buf[slow, :40] = np.frombuffer(b"%.17g".ljust(40, b"\0"), np.uint8)
+    text = buf.tobytes().translate(None, b"\0")
+    return text % tuple(x[slow].tolist()) if slow.size else text
 
 
 def density_to_csv(grid: DensityGrid) -> str:
     """Serialize as ``x,p`` rows with 17 significant digits."""
-    return _csv_rows("x,p\n", np.column_stack((grid.points, grid.weights)))
+    return _csv_rows("x,p\n", grid.points, grid.weights)
 
 
 def density_from_csv(text: str) -> DensityGrid:

@@ -180,15 +180,26 @@ def d1_d2(params: MarketParams, opt: OptionSpec) -> tuple[float, float]:
 
 
 def _gk_premium(
-    params: MarketParams, kind: str, strike: float, expiry: float, d1: float, d2: float
+    kind: str, spot: float, strike_pv: float, d1: float, d2: float
 ) -> float:
-    """s (u0 e^{-rf T} N(s d1) - K e^{-rd T} N(s d2)), s = +1 call, -1 put."""
+    """s (spot N(s d1) - K' N(s d2)), s = +1 call, -1 put, from the discounted
+    legs spot = u0 e^{-rf T} and K' = K e^{-rd T}."""
     s = 1.0 if kind == CALL else -1.0
-    spot_leg = params.u0 * _discount(params.drift_f, expiry) * std_normal_cdf(s * d1)
-    strike_leg = strike * _discount(params.drift_d, expiry) * std_normal_cdf(s * d2)
+    spot_leg = spot * std_normal_cdf(s * d1)
+    strike_leg = strike_pv * std_normal_cdf(s * d2)
     # Subtracting in the sign's order, not multiplying by s, keeps a put
     # whose legs cancel exactly at +0.0.
     return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
+
+
+def _discounted_legs(
+    params: MarketParams, strike: float, expiry: float
+) -> tuple[float, float]:
+    """u0 e^{-rf T} and K e^{-rd T}."""
+    return (
+        params.u0 * _discount(params.drift_f, expiry),
+        strike * _discount(params.drift_d, expiry),
+    )
 
 
 def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResult:
@@ -196,7 +207,8 @@ def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResul
     if opt.kind != kind:
         raise DomainError(f"gk_{kind} requires a {kind} option")
     d1, d2 = d1_d2(params, opt)
-    premium = _gk_premium(params, kind, opt.strike, opt.expiry, d1, d2)
+    legs = _discounted_legs(params, opt.strike, opt.expiry)
+    premium = _gk_premium(kind, *legs, d1, d2)
     return PriceResult(
         premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
     )
@@ -221,22 +233,15 @@ def parity_residual(
 ) -> float:
     """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding.
 
-    C and P are computed separately from one d1/d2 pair and one erfc tail
-    per leg, with the arithmetic of ``gk_call`` and ``gk_put``, and checked
-    as premiums are.
+    C and P are computed separately from one d1/d2 pair, exactly as
+    ``gk_call`` and ``gk_put`` compute them, and checked as premiums are.
     """
     _check_contract(strike, expiry)
     _require_risk_neutral(params)
     d1, d2 = _d1_d2(params, strike, expiry)
-    spot = params.u0 * _discount(params.drift_f, expiry)
-    strike_pv = strike * _discount(params.drift_d, expiry)
-    # std_normal_cdf(d) and std_normal_cdf(-d) share d's erfc tail t.
-    t1 = 0.5 * math.erfc(abs(d1) / math.sqrt(2.0))
-    t2 = 0.5 * math.erfc(abs(d2) / math.sqrt(2.0))
-    n1, n2 = (t1 if d1 <= 0.0 else 1.0 - t1), (t2 if d2 <= 0.0 else 1.0 - t2)
-    m1, m2 = (t1 if d1 >= 0.0 else 1.0 - t1), (t2 if d2 >= 0.0 else 1.0 - t2)
-    call = spot * n1 - strike_pv * n2
-    put = strike_pv * m2 - spot * m1
+    spot, strike_pv = _discounted_legs(params, strike, expiry)
+    call = _gk_premium(CALL, spot, strike_pv, d1, d2)
+    put = _gk_premium(PUT, spot, strike_pv, d1, d2)
     _check_premium(call)
     _check_premium(put)
     return call - put - (spot - strike_pv)
