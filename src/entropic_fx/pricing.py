@@ -192,23 +192,14 @@ def _gk_premium(
     return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
 
 
-def _discounted_legs(
-    params: MarketParams, strike: float, expiry: float
-) -> tuple[float, float]:
-    """u0 e^{-rf T} and K e^{-rd T}."""
-    return (
-        params.u0 * _discount(params.drift_f, expiry),
-        strike * _discount(params.drift_d, expiry),
-    )
-
-
 def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResult:
     _require_risk_neutral(params)
     if opt.kind != kind:
         raise DomainError(f"gk_{kind} requires a {kind} option")
     d1, d2 = d1_d2(params, opt)
-    legs = _discounted_legs(params, opt.strike, opt.expiry)
-    premium = _gk_premium(kind, *legs, d1, d2)
+    spot = params.u0 * _discount(params.drift_f, opt.expiry)
+    strike_pv = opt.strike * _discount(params.drift_d, opt.expiry)
+    premium = _gk_premium(kind, spot, strike_pv, d1, d2)
     return PriceResult(
         premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
     )
@@ -239,7 +230,8 @@ def parity_residual(
     _check_contract(strike, expiry)
     _require_risk_neutral(params)
     d1, d2 = _d1_d2(params, strike, expiry)
-    spot, strike_pv = _discounted_legs(params, strike, expiry)
+    spot = params.u0 * _discount(params.drift_f, expiry)
+    strike_pv = strike * _discount(params.drift_d, expiry)
     call = _gk_premium(CALL, spot, strike_pv, d1, d2)
     put = _gk_premium(PUT, spot, strike_pv, d1, d2)
     _check_premium(call)

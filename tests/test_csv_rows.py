@@ -62,6 +62,12 @@ def test_random_bit_patterns_in_the_numpy_range():
     assert_same_text(bits.view(np.float64), n_cols=1001)
 
 
+def test_rows_wider_than_a_chunk():
+    # A row longer than grids._CSV_CHUNK values is written in several chunks.
+    values = np.random.default_rng(11).normal(size=3 * 5001) * 1e3
+    assert_same_text(values, n_cols=5001)
+
+
 def test_edges_of_the_numpy_range():
     edges = [1e-4, 1e16, 2.0**53, 2.0**53 + 2.0, 2.0**-14, 9999999999999998.0]
     for k in range(-6, 18):
