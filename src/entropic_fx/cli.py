@@ -30,7 +30,7 @@ from .dynamics import (
     simulate_paths,
 )
 from .errors import DomainError, NumericalError
-from .grids import density_to_csv, gaussian_density, l1_distance
+from .grids import MAX_GRID_POINTS, density_to_csv, gaussian_density, l1_distance
 
 _ENV_THREADS = "ENTROPIC_FX_THREADS"
 
@@ -41,9 +41,8 @@ _ALL_QUAD_TOL = 1e-8
 _ALL_MC_SIGMAS = 4.0
 _ALL_PDE_RELTOL = 1e-3
 
-# The largest maxent-check grid, checked before anything is allocated: the
-# solver needs about 110 bytes per point, so this is about 0.1 GB.
-_MAXENT_MAX_POINTS = 1_000_000
+# The largest maxent-check grid, checked before anything is allocated.
+_MAXENT_MAX_POINTS = MAX_GRID_POINTS
 
 
 class ConfigError(Exception):

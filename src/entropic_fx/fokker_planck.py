@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import MarketParams, log_coordinate
 from .errors import DomainError, MassLeak, NumericalError
-from .grids import DensityGrid, gaussian_density
+from .grids import MAX_GRID_POINTS, DensityGrid, gaussian_density
 
 # Negative output values in [-_CLIP_FLOOR, 0) are clipped to zero; anything
 # more negative means the scheme has genuinely failed.
@@ -27,6 +27,17 @@ _LEAK_TOL = 1e-8
 # The initial condition must hold all but this much of its mass inside the
 # central 80% of the grid.
 _SUPPORT_TOL = 1e-12
+# Longest block of the recurrence solves (_RecurrencePair).
+_BLOCK = 64
+# Blocks shrink so that each block product has at most this many
+# multiply-adds (m * b): OpenBLAS runs such products on one thread, and
+# threading one of this size costs more than it saves.
+_SERIAL_PRODUCT = 1 << 18
+# Smallest normal float; smaller powers and columns are flushed to zero.
+_TINY = np.finfo(float).tiny
+# Largest condition number (1-norm) accepted for the 2x2 capacitance matrix
+# of _TridiagonalLU's Woodbury step.
+_CAPACITANCE_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -43,8 +54,8 @@ class FPGridSpec:
             raise DomainError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise DomainError("x_min must be less than x_max")
-        if self.n_points < 3:
-            raise DomainError("n_points must be at least 3")
+        if not 3 <= self.n_points <= MAX_GRID_POINTS:
+            raise DomainError(f"n_points must be between 3 and {MAX_GRID_POINTS}")
         if not (self.dt_step > 0.0 and math.isfinite(self.dt_step)):
             raise DomainError("dt_step must be positive and finite")
 
@@ -141,59 +152,191 @@ def _apply_tridiag(lower, diag, upper, p):
     return out
 
 
+def _powers(r: float, exponents: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * r ** exponents, with results below the smallest normal float
+    flushed to zero: subnormal operands make matrix products many times slower."""
+    out = scale * np.power(r, exponents)
+    out[np.abs(out) < _TINY] = 0.0
+    return out
+
+
+def _power_table(r: float, m: int, reverse: bool, stride: int, scale: float = 1.0):
+    """(m, m) table T such that x @ T solves y[i] = scale * x[i] + r**stride *
+    y[i -/+ 1] from zero across one block x of m entries."""
+    k = np.arange(m)
+    gap = k[:, None] - k[None, :] if reverse else k[None, :] - k[:, None]
+    return np.where(gap >= 0, _powers(r, stride * k, scale)[np.abs(gap)], 0.0)
+
+
+class _RecurrencePair:
+    """x -> z through y[i] = sf * x[i] + f * y[i-1], then z[i] = sb * y[i] +
+    b * z[i+1], for |f|, |b| < 1, on m entries, by block matrix products.
+
+    ``input`` is the x to solve for; leading zeros pad it to nb blocks of bl
+    entries.  One product with a power table solves each block of y from
+    zero.  y's block ends then carry across blocks by the same recurrence
+    with ratio f**bl, and z's block starts by theirs with ratio b**bl: a
+    dense (nb, nb) table when the blocks are few, a nested pair (the other
+    ratio 0) otherwise.  The carried values enter as two extra columns of
+    one more product, which solves each block of z from y's local solution.
+    Forward, the zero padding stays zero; backward, only it takes values.
+    """
+
+    def __init__(self, m, f, b, sf=1.0, sb=1.0, stride=1):
+        bl = min(_BLOCK, math.isqrt(m - 1) + 1)
+        if m * bl > _SERIAL_PRODUCT:
+            bl = max(16, _SERIAL_PRODUCT // m)
+        nb = -(-m // bl)
+        self._pad, self._bl = nb * bl - m, bl
+        self._x = np.zeros((nb, bl))
+        self.input = self._x.reshape(-1)[self._pad :]
+        k = np.arange(bl)
+        local_f = np.zeros((bl, bl + 2))
+        local_f[:, :bl] = _power_table(f, bl, False, stride, sf)
+        self._local_f = local_f
+        local_b = _power_table(b, bl, True, stride, sb)
+        self._table = np.vstack(
+            [local_b, _powers(f, stride * (k + 1)) @ local_b, _powers(b, stride * (bl - k))]
+        )
+        self._start = self._table[: bl + 1, 0].copy()
+        if nb <= _BLOCK:
+            self._carry_f = _power_table(f, nb, False, stride * bl)
+            self._carry_b = _power_table(b, nb, True, stride * bl)
+        else:
+            self._carry_f = _RecurrencePair(nb, f, 0.0, stride=stride * bl)
+            self._carry_b = _RecurrencePair(nb, 0.0, b, stride=stride * bl)
+
+    @staticmethod
+    def _carry(carry, ends):
+        if isinstance(carry, np.ndarray):
+            return ends @ carry
+        carry.input[:] = ends
+        return carry.solve()
+
+    def solve(self) -> np.ndarray:
+        """z for the x in ``input``, as a new array."""
+        bl = self._bl
+        blocks = self._x @ self._local_f  # y's local solutions; two zero columns
+        blocks[1:, bl] = self._carry(self._carry_f, blocks[:, bl - 1])[:-1]
+        starts = blocks[:, : bl + 1] @ self._start
+        blocks[:-1, bl + 1] = self._carry(self._carry_b, starts)[1:]
+        return (blocks @ self._table).reshape(-1)[self._pad :]
+
+
 class _TridiagonalLU:
-    """A tridiagonal matrix factored once, then solved against many right-hand sides.
+    """A tridiagonal matrix A with one constant stencil (l, d, u) on its
+    interior rows, factored once and then solved against many right-hand
+    sides in numpy.
 
     ``lower`` and ``upper`` are the n-1 sub- and super-diagonal entries,
-    ``diag`` the n main-diagonal ones.  LAPACK ``dgttrf`` factors with
-    partial pivoting and ``dgttrs`` solves; together they run the same
-    elimination and back-substitution as LAPACK's one-shot tridiagonal
-    solver ``dgtsv``, so solutions are bitwise equal to a ``dgtsv`` solve
-    of each right-hand side while the factorization is paid once.
-    Non-finite entries and singular matrices raise NumericalError.
+    ``diag`` the n main-diagonal ones; rows 0 and n-1 are free.  With S the
+    down-shift, M = (I + pS)(qI + uS^T) carries the stencil on every row but
+    M[0, 0] = q, where q is the larger root of q^2 - d q + l u = 0 and
+    p = l/q.  M x = y is two first-order recurrences (_RecurrencePair), ratio -p
+    forward and then -u/q backward.  A = M + U V^T with U = [e_0, e_{n-1}],
+    and the Woodbury identity A^-1 = M^-1 (I - U H), H = C^-1 V^T M^-1 with
+    C = I + V^T M^-1 U, changes only the first and last right-hand-side
+    entries, by H y.  H is built once from M^T's recurrences.
+
+    The domain, checked here with NumericalError outside it: finite entries,
+    n >= 3, exactly constant interior rows, real q with |p| < 1 and
+    |u/q| < 1 (both recurrences contract), and a 2x2 capacitance matrix C
+    that is not near singular.  An operator I - (dt/2) L with constant
+    coefficients meets the first three by construction; the last two hold
+    whenever the stencil is diagonally dominant, and often beyond.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
+        n = diag.size
+        if n < 3:
+            raise NumericalError("tridiagonal solve needs at least 3 rows")
         if not all(np.isfinite(band).all() for band in (lower, diag, upper)):
             raise NumericalError("tridiagonal matrix has non-finite entries")
-        *factors, info = dgttrf(lower, diag, upper)
-        if info != 0:
-            raise NumericalError(f"tridiagonal matrix is singular (zero pivot {info})")
-        self._factors = factors
-        self._dgttrs = dgttrs
+        l, d, u = float(lower[0]), float(diag[1]), float(upper[1])
+        if not ((lower[:-1] == l).all() and (diag[1:-1] == d).all() and (upper[1:] == u).all()):
+            raise NumericalError("tridiagonal matrix has non-constant interior rows")
+        disc = d * d - 4.0 * l * u
+        q = 0.5 * (d + math.copysign(math.sqrt(max(disc, 0.0)), d))
+        if not (disc >= 0.0 and math.isfinite(q) and abs(l) < abs(q) and abs(u) < abs(q)):
+            raise NumericalError(
+                "tridiagonal stencil is outside the solver's domain: its "
+                "recurrences do not contract"
+            )
+        self._m = _RecurrencePair(n, -l / q, -u / q, sb=1.0 / q)
+        # V^T's rows are A - M's rows 0 and n-1: columns 0, 1 and n-2, n-1.
+        v_rows = np.zeros((2, n))
+        v_rows[0, :2] = diag[0] - q, upper[0] - u
+        v_rows[1, -2:] = lower[-1] - l, diag[-1] - d
+        # V^T M^-1 through M^T = (qI + uS)(I + pS^T).
+        m_transposed = _RecurrencePair(n, -u / q, -l / q, sf=1.0 / q)
+        vm = np.empty((2, n))
+        for row, out in zip(v_rows, vm):
+            m_transposed.input[:] = row
+            out[:] = m_transposed.solve()
+        (c00, c01), (c10, c11) = vm[:, [0, -1]].tolist()
+        c00 += 1.0
+        c11 += 1.0
+        det = c00 * c11 - c01 * c10
+        norm = max(abs(c00) + abs(c10), abs(c01) + abs(c11))
+        adj_norm = max(abs(c11) + abs(c10), abs(c01) + abs(c00))
+        if not norm * adj_norm < _CAPACITANCE_COND * abs(det):
+            raise NumericalError("tridiagonal matrix is singular or nearly so")
+        h = np.array([[c11, -c01], [-c10, c00]]) @ vm / det
+        h[np.abs(h) < _TINY] = 0.0
+        self._h = h
+        self._h_ends = h[:, [0, -1]].tolist()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution of A x = rhs; a contiguous float64 ``rhs`` is overwritten."""
-        if not np.isfinite(rhs).all():
+    def solve(self, rhs, scale=1.0, shift_first=0.0, shift_last=0.0):
+        """A^-1 (scale * rhs + shift_first e_0 + shift_last e_{n-1}), a new array."""
+        (h00, h0n), (h10, h1n) = self._h_ends
+        # Every rhs entry meets H (0 * inf is nan), so this sees any non-finite one.
+        t0, t1 = (self._h @ rhs).tolist()
+        if not (math.isfinite(t0) and math.isfinite(t1)):
             raise NumericalError("right-hand side has non-finite entries")
-        x, info = self._dgttrs(*self._factors, rhs, overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve failed (info {info})")
-        return x
+        x = self._m.input
+        np.multiply(rhs, scale, out=x)
+        x[0] += shift_first - (scale * t0 + h00 * shift_first + h0n * shift_last)
+        x[-1] += shift_last - (scale * t1 + h10 * shift_first + h1n * shift_last)
+        return self._m.solve()
 
 
-def _crank_nicolson(lower, diag, upper, v, dt, n_steps, implicit=0, rows=None, after=None):
+def _crank_nicolson(lower, diag, upper, v, dt, n_steps, rows=None, after=None):
     """March dv/dt = L v, L = tridiag(lower, diag, upper) laid out as in
-    _operator_diagonals, by n_steps >= 1 steps of dt; return the last two states.
+    _operator_diagonals, to time n_steps * dt; return the last two states.
 
-    I - dt/2 L is factored once.  The first ``implicit`` steps solve it
-    against v, the rest against v + dt/2 L v (Crank-Nicolson).  ``rows(step)``
-    gives the right-hand side's first and last entries; ``after(v, v')`` sees
-    each step.
+    A = I - (dt/2) L is factored once, and each Crank-Nicolson step takes
+    v' = A^-1 (2I - A) v = 2 A^-1 v - v.  Such a step multiplies the grid's
+    highest-frequency mode by (2 - a)/a, where a = d - l - u is A's interior
+    stencil summed with alternating signs.  When a > 2 that factor is
+    negative and a rough start rings, so the first step is then replaced by
+    two implicit half-steps v' = A^-1 v (Rannacher), which damp it.
+    ``rows(t)`` gives the first and last right-hand-side entries of the step
+    that ends at time t; ``after(v, v', step)`` sees each step and its length.
     """
-    # 0.0 - x, not -x: a zero band entry must stay +0.0 in the matrix.
-    lhs = _TridiagonalLU(
-        0.0 - 0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, 0.0 - 0.5 * dt * upper[:-1]
-    )
-    for step in range(n_steps):
-        rhs = v.copy() if step < implicit else v + 0.5 * dt * _apply_tridiag(lower, diag, upper, v)
+    half = 0.5 * dt
+    # 0.0 - x, not -x: a zero band entry stays +0.0 in the matrix.
+    bands = (0.0 - half * lower[1:], 1.0 - half * diag, 0.0 - half * upper[:-1])
+    lhs = _TridiagonalLU(*bands)
+    split = 1 if bands[1][1] - bands[0][0] - bands[2][1] > 2.0 else 0
+    old = v
+    for step in range(n_steps + split):
+        implicit = step < 2 * split
+        shifts = ()
         if rows is not None:
-            rhs[0], rhs[-1] = rows(step)
-        old, v = v, lhs.solve(rhs)
+            first, last = v[0], v[-1]
+            if not implicit:  # the end entries of (2I - A) v = v + (dt/2) L v
+                first += half * (diag[0] * v[0] + upper[0] * v[1])
+                last += half * (lower[-1] * v[-2] + diag[-1] * v[-1])
+            want_first, want_last = rows(half * (step + 1) if implicit else (step + 1 - split) * dt)
+            shifts = (want_first - first, want_last - last)
+        new = lhs.solve(v, 1.0 if implicit else 2.0, *shifts)
+        if not implicit:
+            new -= v
         if after is not None:
-            after(old, v)
+            after(v, new, half if implicit else dt)
+        old, v = v, new
+    if not np.isfinite(v).all():
+        raise NumericalError("Crank-Nicolson march overflowed to non-finite values")
     return old, v
 
 
@@ -243,15 +386,17 @@ def evolve_density(
     mass0 = float(np.sum(initial.weights)) * h
     leak = 0.0
 
-    def check_leak(p, p_next):
+    def check_leak(p, p_next, step):
         nonlocal leak
-        mid0 = 0.5 * (p[0] + p_next[0])
-        mid1 = 0.5 * (p[1] + p_next[1])
-        midm = 0.5 * (p[-2] + p_next[-2])
-        midn = 0.5 * (p[-1] + p_next[-1])
+        (p0, p1), (pm, pn) = p[:2].tolist(), p[-2:].tolist()
+        (q0, q1), (qm, qn) = p_next[:2].tolist(), p_next[-2:].tolist()
+        mid0 = 0.5 * (p0 + q0)
+        mid1 = 0.5 * (p1 + q1)
+        midm = 0.5 * (pm + qm)
+        midn = 0.5 * (pn + qn)
         flux_lo = -adv * (mid0 + mid1) + dif_h * (mid1 - mid0)
         flux_hi = -adv * (midm + midn) + dif_h * (midn - midm)
-        leak += (abs(flux_lo) + abs(flux_hi)) * dt
+        leak += (abs(flux_lo) + abs(flux_hi)) * step
         if leak > _LEAK_TOL * mass0:
             raise MassLeak(
                 "density reached the grid boundary during evolution; "

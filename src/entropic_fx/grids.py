@@ -12,6 +12,9 @@ from .errors import DomainError, GridMismatch
 # Relative deviation allowed between grid spacings before the grid is
 # rejected as non-uniform.
 SPACING_RTOL = 1e-12
+# The most points a grid command allocates, checked before allocating: the
+# maxent solve needs about 110 bytes per point, so this is about 0.1 GB.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _as_1d_float(values, name: str) -> np.ndarray:

@@ -464,12 +464,12 @@ def pde_price(
     """Backward Crank-Nicolson solve of the log-rate pricing equation.
 
     In time-to-maturity tau the value satisfies dE/dtau = (sigma^2/2) E_xx
-    + nu E_x - rd E with nu = rd - rf - sigma^2/2.  The first step is
-    split into two implicit half-steps to damp the payoff kink before
-    Crank-Nicolson takes over.  The ``residual`` diagnostic is the scaled
-    defect of the last Crank-Nicolson step's equations, a check on the
-    linear algebra; it is 0.0 when n_time_steps is 1, which takes no such
-    step.  The premium is the Lagrange cubic through the four nodes nearest
+    + nu E_x - rd E with nu = rd - rf - sigma^2/2.  Where Crank-Nicolson
+    would ring on the payoff kink (on every default grid), the first step is
+    split into two implicit half-steps that damp it.  The ``residual``
+    diagnostic is the scaled defect of the last Crank-Nicolson step's
+    equations, a check on the linear algebra; it is 0.0 when n_time_steps
+    is 1.  The premium is the Lagrange cubic through the four nodes nearest
     the spot (all three on a three-point grid), so a spot on a node reads
     that node's value.
 
@@ -517,9 +517,7 @@ def pde_price(
     diag[1:-1] = -2.0 * diffusion / (h * h) - params.drift_d
     upper[1:-1] = diffusion / (h * h) + 0.5 * nu / h
 
-    def boundary_values(step: int) -> tuple[float, float]:
-        # Steps 0 and 1 are the implicit half-steps to dtau/2 and dtau, then one per dtau.
-        tau = max(step, 0.5) * dtau
+    def boundary_values(tau: float) -> tuple[float, float]:
         disc_d = _discount(params.drift_d, tau)
         disc_f = _discount(params.drift_f, tau)
         if opt.kind == CALL:
@@ -530,8 +528,8 @@ def pde_price(
     try:
         with np.errstate(over="raise", invalid="raise"):
             previous, values = _crank_nicolson(
-                lower, diag, upper, opt.payoff(np.exp(x)), dtau, n_steps + 1,
-                implicit=2, rows=boundary_values,
+                lower, diag, upper, opt.payoff(np.exp(x)), dtau, n_steps,
+                rows=boundary_values,
             )
             if n_steps > 1:
                 mid = 0.5 * (previous + values)

@@ -57,3 +57,30 @@ def same_bits(a, b) -> bool:
     """Equal to the bit, as float64 arrays or scalars: 0.0 and -0.0 differ."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def banded(lower, diag, upper):
+    """(3, n) banded storage of a tridiagonal matrix for scipy's solve_banded."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+class BandedSolve:
+    """Reference for fokker_planck._TridiagonalLU with the same signature:
+    scipy's ``solve_banded`` (LAPACK, partial pivoting) on every solve.
+    scipy is a test-only dependency."""
+
+    def __init__(self, lower, diag, upper):
+        self.bands = (lower.copy(), diag.copy(), upper.copy())
+        self.ab = banded(lower, diag, upper)
+
+    def solve(self, rhs, scale=1.0, shift_first=0.0, shift_last=0.0):
+        from scipy.linalg import solve_banded
+
+        b = scale * rhs
+        b[0] += shift_first
+        b[-1] += shift_last
+        return solve_banded((1, 1), self.ab, b)

@@ -763,6 +763,53 @@ class TestFokkerPlanckCommand:
         assert json.loads(line)["error"] == "DomainError"
 
 
+    @pytest.mark.parametrize("n_time_steps", ["1", "2", "10"])
+    def test_few_time_steps_evolve(self, n_time_steps):
+        # A handful of long steps, where plain Crank-Nicolson rings on the
+        # narrow start, still gives a non-negative density of unit mass.
+        proc = run_cli("fokker-planck", "--n-time-steps", n_time_steps, check=True)
+        density = density_from_csv(proc.stdout)
+        assert np.all(density.weights >= 0.0)
+        diag = json.loads(proc.stderr)
+        assert diag["mass"] == pytest.approx(1.0, abs=1e-6)
+        assert diag["l1_distance_to_analytic"] < 0.2
+
+
+class TestGridLimits:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fokker-planck"],
+            ["price", *STD_FLAGS, "--method", "pde"],
+            ["price", *STD_FLAGS, "--method", "all", "--n-paths", "1000"],
+        ],
+        ids=["fokker-planck", "price_pde", "price_all"],
+    )
+    def test_oversized_grid_exits_2(self, command):
+        proc = run_cli(*command, "--n-points", "2000001")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "DomainError"
+        assert "n_points" in error["message"]
+
+    def test_grid_outside_the_solver_domain_exits_3(self):
+        # rd = -20 over one long step: the implicit stencil's recurrences do
+        # not contract.  The premium is not printed.
+        proc = run_cli(
+            "price", "--u0", "1", "--strike", "1", "--rd", "-20", "--rf", "0.02",
+            "--sigma", "0.2", "--expiry", "1", "--kind", "put", "--method", "pde",
+            "--n-time-steps", "1",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "NumericalError"
+        assert "domain" in error["message"]
+
+
 class TestMaxentCheckCommand:
     def test_default_round_trip(self):
         proc = run_cli("maxent-check", check=True)

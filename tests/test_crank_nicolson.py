@@ -1,12 +1,16 @@
 """The shared Crank-Nicolson marcher against the two time loops it replaced.
 
 ``evolve_density`` and ``pde_price`` both march through
-``fokker_planck._crank_nicolson``.  The references below are copies of the
-loops each solver ran on its own before: they assemble their own matrix and
-right-hand side, so a wrong band, a wrong boundary row or a wrong step order
-in the marcher shows up as different bits.  Only the LAPACK factor-and-solve
-(``_TridiagonalLU``, checked against ``solve_banded`` elsewhere) and the FP
-operator's bands (``_operator_diagonals``) are shared.
+``fokker_planck._crank_nicolson``.  The references below are the loops each
+solver would run on its own: they assemble their own matrix and boundary
+rows and take their own steps (two implicit half-steps, then
+Crank-Nicolson as x' = 2 A^-1 x - x), so a wrong band, a wrong boundary row
+or a wrong step order in the marcher shows up.  They take the
+factor-and-solve as ``factor``.  With the library's ``_TridiagonalLU``
+(checked against ``solve_banded`` in test_fokker_planck.py) the marcher must
+match them to the bit; with scipy's ``solve_banded`` on every step
+(``BandedSolve``), within the stated tolerances.  Only the FP operator's
+bands (``_operator_diagonals``) are shared.
 """
 
 import math
@@ -34,11 +38,22 @@ from entropic_fx.fokker_planck import (
     _TridiagonalLU,
 )
 
-from conftest import same_bits
+from conftest import BandedSolve, same_bits
+
+# Agreement with the per-step solve_banded loops.  The two linear solves
+# differ in rounding, and Crank-Nicolson carries that difference along:
+# relative to the premium, or to the density's L1 norm.
+PREMIUM_RTOL = 1e-9
+DENSITY_L1_TOL = 1e-9
+# Both loops' last-step defect stays at rounding level (a few 1e-10 on the
+# 8x grid).
+RESIDUAL_MAX = 1e-8
 
 
-def reference_evolve(initial, params, t, spec):
-    """evolve_density's own loop: CN steps with the boundary-flux leak sum."""
+def reference_evolve(initial, params, t, spec, factor=_TridiagonalLU):
+    """evolve_density's own loop: two implicit half-steps where CN would ring,
+    then CN steps, with the boundary-flux leak sum counting each step at its
+    own length."""
     points = spec.points()
     n = spec.n_points
     h = initial.h
@@ -47,41 +62,40 @@ def reference_evolve(initial, params, t, spec):
     n_steps = max(1, math.ceil(t / spec.dt_step - 1e-12))
     dt = t / n_steps
     lower, diag, upper = _operator_diagonals(nu, diffusion, h, n)
-    lhs = _TridiagonalLU(
-        -0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1]
-    )
-
-    def apply(p):
-        out = diag * p
-        out[1:] += lower[1:] * p[:-1]
-        out[:-1] += upper[:-1] * p[1:]
-        return out
+    lhs = factor(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
 
     adv = 0.5 * nu
     dif_h = diffusion / h
     p = initial.weights.copy()
     mass0 = float(np.sum(p)) * h
     leak = 0.0
-    for _ in range(n_steps):
-        rhs = p + 0.5 * dt * apply(p)
-        p_next = lhs.solve(rhs)
+    # Two implicit half-steps first where CN would flip the sign of the
+    # grid's highest-frequency mode: 1 + 2 dt D / h^2 > 2.
+    if 1.0 + 2.0 * dt * diffusion / (h * h) > 2.0:
+        steps = [(0.5 * dt, 1.0)] * 2 + [(dt, 2.0)] * (n_steps - 1)
+    else:
+        steps = [(dt, 2.0)] * n_steps
+    for step, scale in steps:
+        p_next = lhs.solve(p, scale)
+        if scale == 2.0:
+            p_next -= p
         mid0 = 0.5 * (p[0] + p_next[0])
         mid1 = 0.5 * (p[1] + p_next[1])
         midm = 0.5 * (p[-2] + p_next[-2])
         midn = 0.5 * (p[-1] + p_next[-1])
         flux_lo = -adv * (mid0 + mid1) + dif_h * (mid1 - mid0)
         flux_hi = -adv * (midm + midn) + dif_h * (midn - midm)
-        leak += (abs(flux_lo) + abs(flux_hi)) * dt
+        leak += (abs(flux_lo) + abs(flux_hi)) * step
         if leak > _LEAK_TOL * mass0:
             raise MassLeak("density reached the grid boundary during evolution")
         p = p_next
     return _finalize_weights(points, p).weights
 
 
-def reference_pde(params, opt, grid):
-    """pde_price's own loops: identity boundary rows, two implicit half-steps,
-    then CN.  Returns the premium and the last CN step's scaled defect (the
-    loop took the worst over all steps; the diagnostic now reads the last)."""
+def reference_pde(params, opt, grid, factor=_TridiagonalLU):
+    """pde_price's own loops: identity boundary rows, two implicit half-steps
+    where CN would ring, then CN.  Returns the premium and the last CN step's
+    scaled defect."""
     x = grid.points()
     n = grid.n_points
     h = float(x[1] - x[0])
@@ -100,7 +114,7 @@ def reference_pde(params, opt, grid):
     lhs_upper = np.full(n - 1, -theta * upper_c)
     lhs_lower[-1] = lhs_upper[0] = 0.0
     lhs_diag[0] = lhs_diag[-1] = 1.0
-    lhs = _TridiagonalLU(lhs_lower, lhs_diag, lhs_upper)
+    lhs = factor(lhs_lower, lhs_diag, lhs_upper)
 
     def apply_interior(v):
         out = np.zeros_like(v)
@@ -116,18 +130,23 @@ def reference_pde(params, opt, grid):
 
     values = opt.payoff(np.exp(x))
     residual = 0.0
-    for tau in (0.5 * dtau, dtau):
-        rhs = values.copy()
-        rhs[0], rhs[-1] = boundary_values(tau)
-        values = lhs.solve(rhs)
-    for m in range(2, n_steps + 1):
+    # Two implicit half-steps first where CN would flip the sign of the
+    # grid's highest-frequency mode.
+    split = lhs_diag[1] - lhs_lower[0] - lhs_upper[1] > 2.0
+    for tau in (0.5 * dtau, dtau) if split else ():
+        first, last = boundary_values(tau)
+        values = lhs.solve(values, 1.0, first - values[0], last - values[-1])
+    for m in range(2 if split else 1, n_steps + 1):
+        # x' = A^-1 (I + dtau/2 L) x = 2 A^-1 x - x, the right-hand side's
+        # end entries shifted to the boundary values.
         rhs = values + 0.5 * dtau * apply_interior(values)
-        rhs[0], rhs[-1] = boundary_values(m * dtau)
-        new_values = lhs.solve(rhs)
-        mid = 0.5 * (values + new_values)
-        defect = (new_values - values) / dtau - apply_interior(mid)
-        scale = 1.0 + float(np.max(np.abs(mid)))
-        residual = float(np.max(np.abs(defect[1:-1]))) / scale
+        first, last = boundary_values(m * dtau)
+        new_values = lhs.solve(values, 2.0, first - rhs[0], last - rhs[-1]) - values
+        if n_steps > 1:  # a one-step solve reports no defect
+            mid = 0.5 * (values + new_values)
+            defect = (new_values - values) / dtau - apply_interior(mid)
+            scale = 1.0 + float(np.max(np.abs(mid)))
+            residual = float(np.max(np.abs(defect[1:-1]))) / scale
         values = new_values
 
     j = max(0, min(int(np.searchsorted(x, x0)) - 2, n - 4))
@@ -156,6 +175,17 @@ class TestPdePrice:
         premium, residual = reference_pde(MARKET, opt, grid)
         assert same_bits(result.premium, premium)
         assert same_bits(result.diagnostics["residual"], residual)
+
+    @pytest.mark.parametrize("kind, strike", [("call", 1.1), ("put", 1.6)])
+    @pytest.mark.parametrize("case", sorted(PDE_CASES))
+    def test_matches_solve_banded_loop(self, case, kind, strike):
+        opt = OptionSpec(kind, strike, 0.7)
+        grid = PDE_CASES[case](opt)
+        result = pde_price(MARKET, opt, grid)
+        premium, residual = reference_pde(MARKET, opt, grid, factor=BandedSolve)
+        assert result.premium == pytest.approx(premium, rel=PREMIUM_RTOL, abs=0.0)
+        assert result.diagnostics["residual"] < RESIDUAL_MAX
+        assert residual < RESIDUAL_MAX
 
     @pytest.mark.parametrize("kind", ["call", "put"])
     @pytest.mark.parametrize("n_points", [3, 4])
@@ -219,6 +249,13 @@ class TestEvolveDensity:
         weights = evolve_density(*args).weights
         assert same_bits(weights, reference_evolve(*args))
         assert not same_bits(weights, args[0].weights)  # the density moved
+
+    @pytest.mark.parametrize("case", sorted(FP_CASES))
+    def test_matches_solve_banded_loop(self, case):
+        args = FP_CASES[case]()
+        weights = evolve_density(*args).weights
+        reference = reference_evolve(*args, factor=BandedSolve)
+        assert np.sum(np.abs(weights - reference)) <= DENSITY_L1_TOL * np.sum(reference)
 
     def test_leak_raises_like_reference_loop(self):
         # Spot near the top edge of a narrow grid: both loops hit the leak

@@ -1,16 +1,16 @@
-"""Each CLI subcommand loads only the scipy modules it calls.
+"""No import or CLI subcommand loads scipy.
 
-scipy is most of the package's import time, and the package uses only its
-LAPACK tridiagonal factor and solve (scipy.linalg), imported inside the
-PDE and Fokker-Planck routines rather than at module top.  Closed-form and
-quadrature pricing, parity, simulation and the maxent check load no scipy.
-Each check runs in a fresh interpreter, because this test process may
-already hold scipy.
+scipy is not a runtime dependency: the grid solvers' tridiagonal solve is
+numpy (fokker_planck._TridiagonalLU), and quadrature is a numpy
+Gauss-Legendre rule.  Tests still use scipy as a reference.  Each check runs
+in a fresh interpreter, because this test process may already hold scipy.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +43,20 @@ def scipy_loaded(code: str, *argv: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_source_imports_no_scipy():
+    # Also the lazy imports inside functions, which the commands below may not reach.
+    src = Path(__file__).resolve().parents[1] / "src" / "entropic_fx"
+    imported = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert "numpy" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
 @pytest.mark.parametrize("module", ["entropic_fx", "entropic_fx.cli"])
 def test_import_loads_no_scipy(module):
     assert scipy_loaded(_IMPORT, module) == []
@@ -59,8 +73,17 @@ def test_import_loads_no_scipy(module):
             "--n-paths", "4", "--seed", "1",
         ],
         ["maxent-check"],
+        ["fokker-planck", *MARKET, "--n-points", "401", "--n-time-steps", "100"],
+        ["price", *MARKET, *OPTION, "--kind", "call", "--method", "pde"],
+        [
+            "price", *MARKET, *OPTION, "--kind", "call", "--method", "all",
+            "--n-paths", "1000",
+        ],
     ],
-    ids=["price", "price_quadrature", "parity", "simulate", "maxent-check"],
+    ids=[
+        "price", "price_quadrature", "parity", "simulate", "maxent-check",
+        "fokker-planck", "price_pde", "price_all",
+    ],
 )
 def test_scipy_free_commands(argv):
     assert scipy_loaded(_RUN_COMMAND, *argv) == []
@@ -74,26 +97,3 @@ def test_cli_import_loads_no_thread_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
     )
     assert proc.stdout.split() == ["False"]
-
-
-def linalg_only(loaded: list[str]) -> bool:
-    heavy = ("scipy.integrate", "scipy.interpolate")
-    return "scipy.linalg" in loaded and not any(m.startswith(heavy) for m in loaded)
-
-
-def test_fokker_planck_loads_only_linalg():
-    loaded = scipy_loaded(
-        _RUN_COMMAND,
-        "fokker-planck", *MARKET, "--n-points", "401", "--n-time-steps", "100",
-    )
-    assert linalg_only(loaded), loaded
-
-
-@pytest.mark.parametrize("method", ["pde", "all"])
-def test_pde_pricing_loads_only_linalg(method):
-    loaded = scipy_loaded(
-        _RUN_COMMAND,
-        "price", *MARKET, *OPTION, "--kind", "call", "--method", method,
-        "--n-paths", "1000",
-    )
-    assert linalg_only(loaded), loaded

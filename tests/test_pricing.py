@@ -622,17 +622,16 @@ class TestPde:
         )
 
     def solve_recorded(self, monkeypatch, market, opt, grid):
-        """pde_price's premium and the node values of its final solve."""
-        solved = []
+        """pde_price's premium and the node values the marcher ends on."""
+        marched = []
 
-        class Recording(fokker_planck._TridiagonalLU):
-            def solve(self, rhs):
-                solved.append(super().solve(rhs))
-                return solved[-1]
+        def recording(*args, **kwargs):
+            marched.append(fokker_planck._crank_nicolson(*args, **kwargs))
+            return marched[-1]
 
-        monkeypatch.setattr(fokker_planck, "_TridiagonalLU", Recording)
+        monkeypatch.setattr(pricing, "_crank_nicolson", recording)
         premium = pde_price(market, opt, grid).premium
-        return premium, solved[-1]
+        return premium, marched[-1][1]
 
     @pytest.mark.parametrize("kind", ["call", "put"])
     def test_spot_on_a_node_reads_that_node(self, monkeypatch, kind):
