@@ -198,6 +198,7 @@ class _RecurrencePair:
         self._table = np.vstack(
             [local_b, _powers(f, stride * (k + 1)) @ local_b, _powers(b, stride * (bl - k))]
         )
+        self._table[np.abs(self._table) < _TINY] = 0.0
         self._start = self._table[: bl + 1, 0].copy()
         if nb <= _BLOCK:
             self._carry_f = _power_table(f, nb, False, stride * bl)

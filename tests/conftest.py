@@ -59,15 +59,6 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def banded(lower, diag, upper):
-    """(3, n) banded storage of a tridiagonal matrix for scipy's solve_banded."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
-    return ab
-
-
 class BandedSolve:
     """Reference for fokker_planck._TridiagonalLU with the same signature:
     scipy's ``solve_banded`` (LAPACK, partial pivoting) on every solve.
@@ -75,7 +66,11 @@ class BandedSolve:
 
     def __init__(self, lower, diag, upper):
         self.bands = (lower.copy(), diag.copy(), upper.copy())
-        self.ab = banded(lower, diag, upper)
+        # (3, n) banded storage; ab[0, 0] and ab[2, -1] are unused.
+        self.ab = np.zeros((3, diag.size))
+        self.ab[0, 1:] = upper
+        self.ab[1] = diag
+        self.ab[2, :-1] = lower
 
     def solve(self, rhs, scale=1.0, shift_first=0.0, shift_last=0.0):
         from scipy.linalg import solve_banded
