@@ -70,62 +70,3 @@ from .pricing import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PHYSICAL",
-    "RISK_NEUTRAL",
-    "ConstraintSpec",
-    "DensityGrid",
-    "DomainError",
-    "FPGridSpec",
-    "FirstMoment",
-    "GridMismatch",
-    "GridTooNarrow",
-    "InfeasibleConstraints",
-    "MarketParams",
-    "MassLeak",
-    "MeasureError",
-    "MultiplierSolution",
-    "NoConvergence",
-    "NumericalError",
-    "OptionSpec",
-    "PathSet",
-    "PriceResult",
-    "SecondCentralMoment",
-    "SupportViolation",
-    "TabulatedMoment",
-    "ToleranceNotMet",
-    "TransitionDensity",
-    "alpha_from_entropic_time",
-    "analytic_density",
-    "beta_multiplier",
-    "block_rng",
-    "closed_form_price",
-    "d1_d2",
-    "default_grid",
-    "default_pde_grid",
-    "density_from_csv",
-    "density_to_csv",
-    "evolve_density",
-    "gaussian_density",
-    "gk_call",
-    "gk_put",
-    "l1_distance",
-    "log_coordinate",
-    "mc_price",
-    "parity_residual",
-    "paths_to_csv",
-    "pde_price",
-    "point_mass_density",
-    "quadrature_price",
-    "relative_entropy",
-    "require_same_grid",
-    "same_grid",
-    "simulate_paths",
-    "solve_maxent",
-    "std_normal_cdf",
-    "transition_density",
-    "transition_pdf",
-    "uniform_density",
-    "variance_from_alpha",
-]

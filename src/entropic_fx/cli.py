@@ -87,8 +87,8 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
         "tol": (float, 1e-10, "quadrature tolerance, relative to max(1, u0, strike)"),
         "n_points": (int, 1601, None),
         "n_time_steps": (int, 400, None),
-        "x_min": (float, None, "PDE grid override"),
-        "x_max": (float, None, "PDE grid override"),
+        "x_min": (float, None, "PDE grid override: lowest log rate at expiry"),
+        "x_max": (float, None, "PDE grid override: highest log rate at expiry"),
         "threads": (int, None, None),
     },
     "parity": {

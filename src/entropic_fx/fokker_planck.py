@@ -285,23 +285,21 @@ class _TridiagonalLU:
         h = np.array([[c11, -c01], [-c10, c00]]) @ vm / det
         h[np.abs(h) < _TINY] = 0.0
         self._h = h
-        self._h_ends = h[:, [0, -1]].tolist()
 
-    def solve(self, rhs, scale=1.0, shift_first=0.0, shift_last=0.0):
-        """A^-1 (scale * rhs + shift_first e_0 + shift_last e_{n-1}), a new array."""
-        (h00, h0n), (h10, h1n) = self._h_ends
+    def solve(self, rhs, scale=1.0):
+        """A^-1 (scale * rhs), a new array."""
         # Every rhs entry meets H (0 * inf is nan), so this sees any non-finite one.
         t0, t1 = (self._h @ rhs).tolist()
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise NumericalError("right-hand side has non-finite entries")
         x = self._m.input
         np.multiply(rhs, scale, out=x)
-        x[0] += shift_first - (scale * t0 + h00 * shift_first + h0n * shift_last)
-        x[-1] += shift_last - (scale * t1 + h10 * shift_first + h1n * shift_last)
+        x[0] -= scale * t0
+        x[-1] -= scale * t1
         return self._m.solve()
 
 
-def _crank_nicolson(lower, diag, upper, v, dt, n_steps, rows=None, after=None):
+def _crank_nicolson(lower, diag, upper, v, dt, n_steps, after=None):
     """March dv/dt = L v, L = tridiag(lower, diag, upper) laid out as in
     _operator_diagonals, to time n_steps * dt; return the last two states.
 
@@ -311,8 +309,7 @@ def _crank_nicolson(lower, diag, upper, v, dt, n_steps, rows=None, after=None):
     stencil summed with alternating signs.  When a > 2 that factor is
     negative and a rough start rings, so the first step is then replaced by
     two implicit half-steps v' = A^-1 v (Rannacher), which damp it.
-    ``rows(t)`` gives the first and last right-hand-side entries of the step
-    that ends at time t; ``after(v, v', step)`` sees each step and its length.
+    ``after(v, v', step)`` sees each step and its length.
     """
     half = 0.5 * dt
     # 0.0 - x, not -x: a zero band entry stays +0.0 in the matrix.
@@ -322,15 +319,7 @@ def _crank_nicolson(lower, diag, upper, v, dt, n_steps, rows=None, after=None):
     old = v
     for step in range(n_steps + split):
         implicit = step < 2 * split
-        shifts = ()
-        if rows is not None:
-            first, last = v[0], v[-1]
-            if not implicit:  # the end entries of (2I - A) v = v + (dt/2) L v
-                first += half * (diag[0] * v[0] + upper[0] * v[1])
-                last += half * (lower[-1] * v[-2] + diag[-1] * v[-1])
-            want_first, want_last = rows(half * (step + 1) if implicit else (step + 1 - split) * dt)
-            shifts = (want_first - first, want_last - last)
-        new = lhs.solve(v, 1.0 if implicit else 2.0, *shifts)
+        new = lhs.solve(v, 1.0 if implicit else 2.0)
         if not implicit:
             new -= v
         if after is not None:

