@@ -6,7 +6,8 @@ solver would run on its own: they assemble their own matrix and boundary
 rows and take their own steps (two implicit half-steps where
 Crank-Nicolson would ring, then Crank-Nicolson as x' = 2 A^-1 x - x), so a
 wrong band, a wrong boundary row or a wrong step order in the marcher shows
-up.  They take the factor-and-solve as ``factor``.  With the library's ``_TridiagonalLU``
+up.  They take the
+factor-and-solve as ``factor``.  With the library's ``_TridiagonalLU``
 (checked against ``solve_banded`` in test_fokker_planck.py) the marcher must
 match them to the bit; with scipy's ``solve_banded`` on every step
 (``BandedSolve``), within the stated tolerances.  Only the FP operator's

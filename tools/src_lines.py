@@ -23,11 +23,9 @@ from pathlib import Path
 def docstring_lines(tree: ast.AST) -> set[int]:
     lines: set[int] = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
-                    and isinstance(body[0].value.value, str):
-                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+            lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     return lines
 
 
