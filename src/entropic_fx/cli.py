@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 from typing import Any, Optional
 
 import numpy as np
@@ -26,11 +27,11 @@ from .dynamics import (
     PHYSICAL,
     RISK_NEUTRAL,
     MarketParams,
-    paths_to_csv,
+    paths_csv_chunks,
     simulate_paths,
 )
 from .errors import DomainError, NumericalError
-from .grids import MAX_GRID_POINTS, density_to_csv, gaussian_density, l1_distance
+from .grids import MAX_GRID_POINTS, density_csv_chunks, gaussian_density, l1_distance
 
 _ENV_THREADS = "ENTROPIC_FX_THREADS"
 
@@ -240,12 +241,13 @@ def _market_from(settings: dict) -> MarketParams:
     )
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write each chunk as soon as it is made, so the whole text is never held."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _print_json(payload: dict) -> None:
@@ -366,7 +368,7 @@ def cmd_simulate(settings: dict) -> None:
         seed=settings["seed"],
         n_partitions=_resolve_threads(settings),
     )
-    _emit(paths_to_csv(paths), settings["output"])
+    _emit(paths_csv_chunks(paths), settings["output"])
 
 
 def cmd_fokker_planck(settings: dict) -> None:
@@ -388,7 +390,7 @@ def cmd_fokker_planck(settings: dict) -> None:
         "t": t,
     }
     sys.stderr.write(json.dumps(diagnostic) + "\n")
-    _emit(density_to_csv(evolved), settings["output"])
+    _emit(density_csv_chunks(evolved), settings["output"])
 
 
 def cmd_maxent_check(settings: dict) -> None:

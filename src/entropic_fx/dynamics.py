@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import _csv_rows
+from .grids import _csv_chunks
 
 PHYSICAL = "physical"
 RISK_NEUTRAL = "risk_neutral"
@@ -240,7 +241,12 @@ def simulate_paths(
     )
 
 
+def paths_csv_chunks(paths: PathSet) -> Iterator[str]:
+    """The text of paths_to_csv, in chunks of a few thousand values."""
+    header = "time," + ",".join(f"path_{j}" for j in range(paths.n_paths)) + "\n"
+    return _csv_chunks(header, paths.times, paths.log_paths.T)
+
+
 def paths_to_csv(paths: PathSet) -> str:
     """Serialize as ``time,path_0,...`` rows with 17 significant digits."""
-    header = "time," + ",".join(f"path_{j}" for j in range(paths.n_paths)) + "\n"
-    return _csv_rows(header, paths.times, paths.log_paths.T)
+    return "".join(paths_csv_chunks(paths))

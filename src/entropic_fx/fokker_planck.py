@@ -29,9 +29,10 @@ _LEAK_TOL = 1e-8
 _SUPPORT_TOL = 1e-12
 # Longest block of the recurrence solves (_RecurrencePair).
 _BLOCK = 64
-# Blocks shrink so that each block product has at most this many
-# multiply-adds (m * b): OpenBLAS runs such products on one thread, and
-# threading one of this size costs more than it saves.
+# Each block product has at most this many multiply-adds (m * b): blocks
+# shrink, down to 16 entries, and then products take a few rows at a time.
+# OpenBLAS runs such products on one thread; threading one of this size
+# costs more than it saves, and on a busy machine it sometimes stalls.
 _SERIAL_PRODUCT = 1 << 18
 # Smallest normal float; smaller powers and columns are flushed to zero.
 _TINY = np.finfo(float).tiny
@@ -188,6 +189,7 @@ class _RecurrencePair:
             bl = max(16, _SERIAL_PRODUCT // m)
         nb = -(-m // bl)
         self._pad, self._bl = nb * bl - m, bl
+        self._rows = _SERIAL_PRODUCT // (bl * bl)  # blocks per product
         self._x = np.zeros((nb, bl))
         self.input = self._x.reshape(-1)[self._pad :]
         k = np.arange(bl)
@@ -214,14 +216,25 @@ class _RecurrencePair:
         carry.input[:] = ends
         return carry.solve()
 
+    def _product(self, blocks, table):
+        """blocks @ table, at most self._rows blocks per product."""
+        rows = self._rows
+        if len(blocks) <= rows:
+            return blocks @ table
+        out = np.empty((len(blocks), table.shape[1]))
+        for i in range(0, len(blocks), rows):
+            np.matmul(blocks[i : i + rows], table, out=out[i : i + rows])
+        return out
+
     def solve(self) -> np.ndarray:
         """z for the x in ``input``, as a new array."""
         bl = self._bl
-        blocks = self._x @ self._local_f  # y's local solutions; two zero columns
+        # y's local solutions, and two zero columns
+        blocks = self._product(self._x, self._local_f)
         blocks[1:, bl] = self._carry(self._carry_f, blocks[:, bl - 1])[:-1]
         starts = blocks[:, : bl + 1] @ self._start
         blocks[:-1, bl + 1] = self._carry(self._carry_b, starts)[1:]
-        return (blocks @ self._table).reshape(-1)[self._pad :]
+        return self._product(blocks, self._table).reshape(-1)[self._pad :]
 
 
 class _TridiagonalLU:

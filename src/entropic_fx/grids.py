@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +126,14 @@ def l1_distance(a: DensityGrid, b: DensityGrid) -> float:
     return float(np.trapezoid(np.abs(a.weights - b.weights), dx=a.h))
 
 
-# Values per chunk of _csv_rows.  Twice as many write a CSV ~15% faster,
-# but the temporaries then lift the peak RSS of a `fokker-planck` run.
+# Values per chunk of _csv_chunks.  Twice as many write a CSV ~15% faster,
+# but the temporaries then lift the peak RSS of a `simulate` run.
 _CSV_CHUNK = 2048
 
 
 @functools.cache
 def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables of _csv_rows, built on first use, not at import: each
+    """Lookup tables of _csv_chunk, built on first use, not at import: each
     group 0000..9999 as four little-endian uint16, ASCII digit low and NUL
     point slot high; at 5 * (x < 0) + z, the sign, then "0." and z - 1
     zeros for z > 0, NUL-padded to 8 bytes; the exact doubles 10**0..22."""
@@ -159,25 +160,29 @@ def _round_17(a: np.ndarray, e: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _csv_rows(header: str, *columns: np.ndarray) -> str:
-    """header, then one CSV line per row of the columns, 1-D arrays or 2-D
-    blocks joined as np.column_stack joins them, every value as "%.17g"
-    prints it."""
+def _csv_chunks(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """header, then the text of one CSV line per row of the columns, 1-D
+    arrays or 2-D blocks joined as np.column_stack joins them, every value
+    as "%.17g" prints it, yielded _CSV_CHUNK values at a time."""
     n_rows = len(columns[0])
     n_cols = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
     step = max(1, _CSV_CHUNK // n_cols)
-    out = bytearray(header.encode())
+    yield header
     # Whole rows, then _CSV_CHUNK values, at a time keep the temporaries
-    # near 0.3 MB without a copy of the table.
+    # near 0.3 MB without a copy of the table or of its text.
     for row in range(0, n_rows, step):
         block = np.column_stack([c[row : row + step] for c in columns])
         values = block.astype(float, copy=False).ravel()
         for start in range(0, values.size, _CSV_CHUNK):
-            out += _csv_chunk(values[start : start + _CSV_CHUNK], start, n_cols)
-    return out.decode("ascii")
+            yield _csv_chunk(values[start : start + _CSV_CHUNK], start, n_cols)
 
 
-def _csv_chunk(x: np.ndarray, start: int, n_cols: int) -> bytes:
+def _csv_rows(header: str, *columns: np.ndarray) -> str:
+    """The whole text of _csv_chunks."""
+    return "".join(_csv_chunks(header, *columns))
+
+
+def _csv_chunk(x: np.ndarray, start: int, n_cols: int) -> str:
     """The CSV text of values start, start + 1, ... of a block of whole rows.
 
     1e-4 <= |x| < 1e16, which "%.17g" prints in fixed notation, is laid out
@@ -224,12 +229,17 @@ def _csv_chunk(x: np.ndarray, start: int, n_cols: int) -> bytes:
     slow = np.flatnonzero(~fast)
     buf[slow, :40] = np.frombuffer(b"%.17g".ljust(40, b"\0"), np.uint8)
     text = buf.tobytes().translate(None, b"\0")
-    return text % tuple(x[slow].tolist()) if slow.size else text
+    return (text % tuple(x[slow].tolist()) if slow.size else text).decode("ascii")
+
+
+def density_csv_chunks(grid: DensityGrid) -> Iterator[str]:
+    """The text of density_to_csv, in chunks of a few thousand values."""
+    return _csv_chunks("x,p\n", grid.points, grid.weights)
 
 
 def density_to_csv(grid: DensityGrid) -> str:
     """Serialize as ``x,p`` rows with 17 significant digits."""
-    return _csv_rows("x,p\n", grid.points, grid.weights)
+    return "".join(density_csv_chunks(grid))
 
 
 def density_from_csv(text: str) -> DensityGrid:

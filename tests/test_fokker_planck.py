@@ -339,10 +339,11 @@ def _patch_stepper(monkeypatch, cls):
 
 
 class TestTridiagonalLU:
-    @pytest.mark.parametrize("n", [3, 4, 17, 64, 65, 1601, 4097, 16001])
+    @pytest.mark.parametrize("n", [3, 4, 17, 64, 65, 1601, 4097, 16001, 100_001])
     def test_matches_solve_banded(self, n):
-        # 3 and 4 rows fill one block, 64 and 65 straddle a block edge, and
-        # 4097 and 16001 carry across blocks through a nested solve.
+        # 3 and 4 rows fill one block, 64 and 65 straddle a block edge,
+        # 4097 and 16001 carry across blocks through a nested solve, and
+        # 100001 splits its block products into row chunks.
         rng = np.random.default_rng(n)
         bands = _constant_interior(rng, n)
         lu, ref = _TridiagonalLU(*bands), BandedSolve(*bands)
