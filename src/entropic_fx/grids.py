@@ -126,8 +126,10 @@ def l1_distance(a: DensityGrid, b: DensityGrid) -> float:
     return float(np.trapezoid(np.abs(a.weights - b.weights), dx=a.h))
 
 
-# Values per chunk of _csv_chunks.  Twice as many write a CSV ~15% faster,
-# but the temporaries then lift the peak RSS of a `simulate` run.
+# Values per chunk of _csv_chunks.  A chunk's temporaries (~0.3 MB) sit on
+# top of the paths in `simulate`, the CLI command with the highest peak
+# RSS, and stay below the simulation's own.  4096 write a CSV ~10% faster
+# at the same peak; 8192 lift it by 0.8 MB.
 _CSV_CHUNK = 2048
 
 

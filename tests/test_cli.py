@@ -971,16 +971,15 @@ class TestStreamedCsv:
         "args",
         [
             # 2501 values a row: each row spans two chunks, 41 rows 82.
-            ["--n-steps", "40", "--n-paths", "2500"],
+            [*SIMULATE, "--n-steps", "40", "--n-paths", "2500"],
             # 20001 rows of two values: about 20 chunks.
-            ["--n-points", "20001", "--n-time-steps", "50"],
+            ["fokker-planck", "--n-points", "20001", "--n-time-steps", "50"],
         ],
         ids=["simulate", "fokker-planck"],
     )
     def test_output_stdout_and_whole_text_are_the_same_bytes(self, args, tmp_path):
-        command = ["fokker-planck"] if "--n-points" in args else self.SIMULATE
         target = tmp_path / "out.csv"
-        argv = [sys.executable, "-m", "entropic_fx", *command, *args]
+        argv = [sys.executable, "-m", "entropic_fx", *args]
         written = subprocess.run(
             [*argv, "--output", str(target)], capture_output=True, timeout=240, check=True
         )
@@ -989,7 +988,7 @@ class TestStreamedCsv:
         text = target.read_bytes()
         assert text.count(b",") + text.count(b"\n") > 15 * grids._CSV_CHUNK  # values
         assert piped == text
-        assert self.whole_text(command[0], text.decode("ascii")) == text.decode("ascii")
+        assert self.whole_text(args[0], text.decode("ascii")) == text.decode("ascii")
 
     def test_simulate_holds_no_copy_of_the_text(self, tmp_path):
         # tracemalloc sees numpy's buffers.  Written as one text, the CSV
