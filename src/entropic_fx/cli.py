@@ -23,17 +23,9 @@ import numpy as np
 
 from . import fokker_planck as fp
 from . import maxent, pricing
-from .dynamics import (
-    PHYSICAL,
-    RISK_NEUTRAL,
-    MarketParams,
-    paths_csv_chunks,
-    simulate_paths,
-)
+from .dynamics import MarketParams, paths_csv_chunks, simulate_paths
 from .errors import DomainError, NumericalError
 from .grids import MAX_GRID_POINTS, density_csv_chunks, gaussian_density, l1_distance
-
-_ENV_THREADS = "ENTROPIC_FX_THREADS"
 
 # Agreement thresholds for `price --method all`: quadrature against the
 # closed form, Monte Carlo within four standard errors, PDE to 1e-3
@@ -42,26 +34,21 @@ _ALL_QUAD_TOL = 1e-8
 _ALL_MC_SIGMAS = 4.0
 _ALL_PDE_RELTOL = 1e-3
 
-# The largest maxent-check grid, checked before anything is allocated.
-_MAXENT_MAX_POINTS = MAX_GRID_POINTS
-
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
 
 
 _REQUIRED = object()
-_MEASURES = (PHYSICAL, RISK_NEUTRAL)
 
 
-def _market(measure: str, u0=_REQUIRED, rd=_REQUIRED, rf=_REQUIRED, sigma=_REQUIRED):
-    """Spot, drifts, volatility and measure, with one subcommand's defaults."""
+def _market(u0=_REQUIRED, rd=_REQUIRED, rf=_REQUIRED, sigma=_REQUIRED):
+    """Spot, drifts and volatility, with one subcommand's defaults."""
     return {
         "u0": (float, u0, "spot exchange rate"),
         "rd": (float, rd, "domestic rate or drift"),
         "rf": (float, rf, "foreign rate or drift"),
         "sigma": (float, sigma, "volatility"),
-        "measure": (str, measure, _MEASURES),
     }
 
 
@@ -75,7 +62,7 @@ _OPTION = {"strike": (float, _REQUIRED, None), "expiry": (float, _REQUIRED, None
 # choices.
 _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
     "price": {
-        **_market(RISK_NEUTRAL),
+        **_market(),
         **_OPTION,
         "kind": (str, _REQUIRED, (pricing.CALL, pricing.PUT)),
         "method": (
@@ -84,31 +71,30 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
         "n_paths": (int, 100_000, None),
         "seed": (int, 0, None),
         "antithetic": (bool, True, None),
-        "mc_steps": (int, 1, None),
         "tol": (float, 1e-10, "quadrature tolerance, relative to max(1, u0, strike)"),
         "n_points": (int, 1601, None),
         "n_time_steps": (int, 400, None),
         "x_min": (float, None, "PDE grid override: lowest log rate at expiry"),
         "x_max": (float, None, "PDE grid override: highest log rate at expiry"),
-        "threads": (int, None, None),
+        "threads": (int, 1, None),
     },
     "parity": {
-        **_market(RISK_NEUTRAL),
+        **_market(),
         **_OPTION,
         "sweep": (int, 0, "number of random parity cases"),
         "sweep_seed": (int, 0, None),
     },
     "simulate": {
-        **_market(PHYSICAL),
+        **_market(),
         "horizon": (float, _REQUIRED, None),
         "n_steps": (int, 100, None),
         "n_paths": (int, 1000, None),
         "seed": (int, 0, None),
-        "threads": (int, None, None),
+        "threads": (int, 1, None),
         "output": (str, None, "write CSV here instead of stdout"),
     },
     "fokker-planck": {
-        **_market(PHYSICAL, u0=1.0, rd=0.05, rf=0.02, sigma=0.2),
+        **_market(u0=1.0, rd=0.05, rf=0.02, sigma=0.2),
         "t": (float, 1.0, "evolution horizon"),
         "n_points": (int, 2001, None),
         "n_time_steps": (int, 1000, None),
@@ -124,9 +110,6 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
         "tol": (float, 1e-12, None),
         "max_iter": (int, 100, None),
         "bound": (float, 1e-6, "allowed variance mismatch"),
-        "empty_constraints": (
-            bool, False, "check that no constraints returns the prior unchanged"
-        ),
     },
 }
 
@@ -213,32 +196,15 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _resolve_threads(settings: dict) -> int:
-    threads = settings.get("threads")
-    if threads is None:
-        raw = os.environ.get(_ENV_THREADS)
-        if raw is not None:
-            try:
-                threads = int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{_ENV_THREADS} must be an integer, got {raw!r}"
-                ) from exc
-    if threads is None:
-        threads = 1
-    if threads < 1:
+def _threads(settings: dict) -> int:
+    if settings["threads"] < 1:
         raise ConfigError("threads must be at least 1")
-    return threads
+    return settings["threads"]
 
 
-def _market_from(settings: dict) -> MarketParams:
-    return MarketParams(
-        u0=settings["u0"],
-        drift_d=settings["rd"],
-        drift_f=settings["rf"],
-        sigma=settings["sigma"],
-        measure_tag=settings["measure"],
-    )
+def _rates(settings: dict) -> tuple[float, float, float, float]:
+    """(u0, rd, rf, sigma): MarketParams' and MarketParams.risk_neutral's order."""
+    return settings["u0"], settings["rd"], settings["rf"], settings["sigma"]
 
 
 def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
@@ -283,8 +249,7 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt) -> pricin
             n_paths=settings["n_paths"],
             seed=settings["seed"],
             antithetic=settings["antithetic"],
-            n_steps=settings["mc_steps"],
-            n_partitions=_resolve_threads(settings),
+            n_partitions=_threads(settings),
         )
     grid = _pde_grid_from(settings, opt.expiry)
     if grid is None:
@@ -295,7 +260,7 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt) -> pricin
 
 
 def cmd_price(settings: dict) -> None:
-    market = _market_from(settings)
+    market = MarketParams.risk_neutral(*_rates(settings))
     opt = pricing.OptionSpec(settings["kind"], settings["strike"], settings["expiry"])
     if settings["method"] != "all":
         result = _price_one(settings["method"], settings, market, opt)
@@ -322,7 +287,7 @@ def cmd_price(settings: dict) -> None:
 
 
 def cmd_parity(settings: dict) -> None:
-    market = _market_from(settings)
+    market = MarketParams.risk_neutral(*_rates(settings))
     if settings["sweep"] < 0:
         raise DomainError("sweep must be a non-negative number of cases")
     if settings["sweep"] > 0:
@@ -359,20 +324,20 @@ def cmd_parity(settings: dict) -> None:
 
 
 def cmd_simulate(settings: dict) -> None:
-    market = _market_from(settings)
+    market = MarketParams(*_rates(settings))
     paths = simulate_paths(
         market,
         horizon=settings["horizon"],
         n_steps=settings["n_steps"],
         n_paths=settings["n_paths"],
         seed=settings["seed"],
-        n_partitions=_resolve_threads(settings),
+        n_partitions=_threads(settings),
     )
     _emit(paths_csv_chunks(paths), settings["output"])
 
 
 def cmd_fokker_planck(settings: dict) -> None:
-    market = _market_from(settings)
+    market = MarketParams(*_rates(settings))
     t = settings["t"]
     if not t > 0.0:
         raise DomainError("t must be positive")
@@ -405,24 +370,14 @@ def cmd_maxent_check(settings: dict) -> None:
         raise DomainError("extent_sigmas must be positive and finite")
     half = extent_sigmas * math.sqrt(k)
     intervals = 2.0 * half / spacing  # inf where it overflows
-    if not intervals + 1.0 <= _MAXENT_MAX_POINTS:
+    if not intervals + 1.0 <= MAX_GRID_POINTS:
         raise DomainError(
-            f"grid of {intervals + 1.0:.3g} points exceeds {_MAXENT_MAX_POINTS}: "
+            f"grid of {intervals + 1.0:.3g} points exceeds {MAX_GRID_POINTS}: "
             "raise spacing or lower k or extent_sigmas"
         )
     n = max(3, int(round(intervals)) + 1)
     points = np.linspace(-half, half, n)
     prior = gaussian_density(points, 0.0, k)
-
-    if settings["empty_constraints"]:
-        solution = maxent.solve_maxent(
-            prior.points, prior, maxent.ConstraintSpec((), ()),
-            tol=settings["tol"], max_iter=settings["max_iter"],
-        )
-        unchanged = bool(np.array_equal(solution.density.weights, prior.weights))
-        _print_json({"unchanged": unchanged, "iterations": solution.iterations})
-        return
-
     if not (k_prime > 0.0 and math.isfinite(k_prime)):
         raise DomainError("k_prime must be positive and finite")
     if not (settings["bound"] > 0.0 and math.isfinite(settings["bound"])):

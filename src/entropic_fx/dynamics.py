@@ -181,20 +181,6 @@ def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> 
         return list(pool.map(run, range(n_blocks)))
 
 
-def _walk(rng: np.random.Generator, params: MarketParams, horizon: float, z, out) -> None:
-    """x0 + cumsum(step_mean + step_sd * Z) along rows into out, drawing Z into z.
-
-    z has out's shape and may be out itself; each operation is the one-shot
-    formula's, commuted at most.
-    """
-    dt = horizon / z.shape[1]
-    rng.standard_normal(out=z)
-    z *= params.sigma * math.sqrt(dt)
-    z += params.log_drift * dt
-    np.cumsum(z, axis=1, out=out)
-    out += log_coordinate(params.u0)
-
-
 def simulate_paths(
     params: MarketParams,
     horizon: float,
@@ -223,11 +209,20 @@ def simulate_paths(
     if n_partitions < 1:
         raise DomainError("n_partitions must be at least 1")
 
+    x0 = log_coordinate(params.u0)
+    dt = horizon / n_steps
     log_paths = np.empty((n_paths, n_steps + 1))
-    log_paths[:, 0] = log_coordinate(params.u0)
+    log_paths[:, 0] = x0
 
     def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
-        _walk(rng, params, horizon, np.empty((hi - lo, n_steps)), log_paths[lo:hi, 1:])
+        # x0 + cumsum(step_mean + step_sd * Z) along rows, each operation the
+        # one-shot formula's, commuted at most.
+        z = rng.standard_normal((hi - lo, n_steps))
+        z *= params.sigma * math.sqrt(dt)
+        z += params.log_drift * dt
+        out = log_paths[lo:hi, 1:]
+        np.cumsum(z, axis=1, out=out)
+        out += x0
 
     _run_blocks(n_paths, n_steps, seed, n_partitions, fill)
 

@@ -63,6 +63,14 @@ class FPGridSpec:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
+    def n_steps(self, t: float) -> int:
+        """The fewest equal steps of at most dt_step that span t.
+
+        The relative slack forgives the rounding of dt_step = t / N, so that
+        t / dt_step, a few ulps above N, still gives N steps at any N.
+        """
+        return max(1, math.ceil(t / self.dt_step * (1.0 - 1e-12)))
+
 
 def default_grid(
     params: MarketParams,
@@ -381,7 +389,7 @@ def evolve_density(
     nu = params.log_drift
     diffusion = 0.5 * params.sigma * params.sigma
 
-    n_steps = max(1, math.ceil(t / spec.dt_step - 1e-12))
+    n_steps = spec.n_steps(t)
     dt = t / n_steps
 
     adv = 0.5 * nu

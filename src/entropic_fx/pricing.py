@@ -16,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (
-    RISK_NEUTRAL,
-    MarketParams,
-    _run_blocks,
-    _walk,
-    log_coordinate,
-)
+from .dynamics import RISK_NEUTRAL, MarketParams, _run_blocks, log_coordinate
 from .errors import (
     DomainError,
     GridTooNarrow,
@@ -68,15 +62,11 @@ class OptionSpec:
         _check_contract(self.strike, self.expiry)
 
     def payoff(self, rate):
-        rate = np.asarray(rate, dtype=float)
-        if self.kind == CALL:
-            out = np.maximum(rate - self.strike, 0.0)
-        else:
-            out = np.maximum(self.strike - rate, 0.0)
+        out = self._payoff_in_place(np.array(rate, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def _payoff_in_place(self, rate: np.ndarray) -> np.ndarray:
-        """payoff() by the same operations, overwriting a float array of rates."""
+        """max(rate - strike, 0) or max(strike - rate, 0), over a float array of rates."""
         if self.kind == CALL:
             np.subtract(rate, self.strike, out=rate)
         else:
@@ -327,14 +317,11 @@ def mc_price(
     n_paths: int,
     seed: int,
     antithetic: bool = True,
-    n_steps: int = 1,
     n_partitions: int = 1,
 ) -> PriceResult:
     """Monte Carlo premium with the terminal rate drawn exactly.
 
-    With n_steps = 1 the terminal log rate is sampled in a single exact
-    Gaussian step; larger n_steps walks simulate_paths' paths (still exact
-    in law), one block at a time, and keeps their terminal values.
+    The terminal log rate is sampled in a single exact Gaussian step.
     Antithetic variates pair each draw with its mirror image and average
     within pairs, which cancels the odd part of the payoff's dependence on
     the noise; each pair is one sample, and the standard error needs two.
@@ -349,14 +336,10 @@ def mc_price(
     _require_risk_neutral(params)
     if n_paths < 2:
         raise DomainError("n_paths must be at least 2")
-    if n_steps < 1:
-        raise DomainError("n_steps must be at least 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a non-negative integer")
     if n_partitions < 1:
         raise DomainError("n_partitions must be at least 1")
-    if antithetic and n_steps != 1:
-        raise DomainError("antithetic sampling requires n_steps = 1")
     if antithetic and n_paths % 2 != 0:
         raise DomainError("antithetic sampling requires an even n_paths")
     if antithetic and n_paths < 4:
@@ -366,40 +349,30 @@ def mc_price(
 
     t = opt.expiry
     discount = _discount(params.drift_d, t)
+    mean = log_coordinate(params.u0) + params.log_drift * t
+    sd = params.sigma * math.sqrt(t)
+    n_samples = n_paths // 2 if antithetic else n_paths
 
-    if n_steps > 1:
-        n_samples = n_paths
-
-        def fill(rng: np.random.Generator, lo: int, hi: int) -> tuple:
-            # simulate_paths' rows [lo, hi), of which only the last column stays.
-            z = np.empty((hi - lo, n_steps))
-            _walk(rng, params, t, z, z)
-            return _moments(opt._payoff_in_place(np.exp(z[:, -1])))
-    else:
-        mean = log_coordinate(params.u0) + params.log_drift * t
-        sd = params.sigma * math.sqrt(t)
-        n_samples = n_paths // 2 if antithetic else n_paths
-
-        def fill(rng: np.random.Generator, lo: int, hi: int) -> tuple:
-            # Each block of draws becomes its samples in place, by the
-            # operations of payoff(exp(mean +/- sd * z)) and 0.5 * (up + dn).
-            up = np.empty(hi - lo)
-            rng.standard_normal(out=up)
-            up *= sd
-            if antithetic:
-                dn = np.subtract(mean, up)
-            up += mean
-            opt._payoff_in_place(np.exp(up, out=up))
-            if antithetic:
-                opt._payoff_in_place(np.exp(dn, out=dn))
-                up += dn
-                up *= 0.5
-            return _moments(up)
+    def fill(rng: np.random.Generator, lo: int, hi: int) -> tuple:
+        # Each block of draws becomes its samples in place, by the
+        # operations of payoff(exp(mean +/- sd * z)) and 0.5 * (up + dn).
+        up = np.empty(hi - lo)
+        rng.standard_normal(out=up)
+        up *= sd
+        if antithetic:
+            dn = np.subtract(mean, up)
+        up += mean
+        opt._payoff_in_place(np.exp(up, out=up))
+        if antithetic:
+            opt._payoff_in_place(np.exp(dn, out=dn))
+            up += dn
+            up *= 0.5
+        return _moments(up)
 
     # Chan, Golub & LeVeque's update for the moments of two sets, in block
     # order from block 0's own moments, not from zeros, so that one block
     # gives np.mean's and np.std's values by construction.
-    blocks = _run_blocks(n_samples, n_steps, seed, n_partitions, fill)
+    blocks = _run_blocks(n_samples, 1, seed, n_partitions, fill)
     n, sample_mean, m2, n_hits = blocks[0]
     for n_b, mean_b, m2_b, hits_b in blocks[1:]:
         delta = mean_b - sample_mean
@@ -420,7 +393,6 @@ def mc_price(
             "n_samples": n,
             "n_hits": n_hits,
             "antithetic": antithetic,
-            "n_steps": n_steps,
             "seed": int(seed),
         },
     )
@@ -501,7 +473,7 @@ def pde_price(
     if min(y0 - y[0], y[-1] - y0) < _PDE_EDGE_FRACTION * span:
         raise GridTooNarrow("log forward sits within 10% of the grid boundary")
 
-    n_steps = max(1, math.ceil(t / grid.dt_step - 1e-12))
+    n_steps = grid.n_steps(t)
     dtau = t / n_steps
 
     # L = (sigma^2/2)(d_yy - d_y) on interior rows, its couplings in the

@@ -99,7 +99,7 @@ class TestPriceCommand:
         b = run_cli(*base, "--seed", "1", check=True)
         assert a.stdout != b.stdout
 
-    def test_threads_flag_matches_env_var(self):
+    def test_threads_flag_matches_serial(self):
         args = (
             "price", *STD_FLAGS,
             "--method", "monte_carlo",
@@ -107,8 +107,6 @@ class TestPriceCommand:
             "--seed", "4",
         )
         by_flag = run_cli(*args, "--threads", "3", check=True)
-        by_env = run_cli(*args, env_extra={"ENTROPIC_FX_THREADS": "3"}, check=True)
-        assert by_flag.stdout == by_env.stdout
         serial = run_cli(*args, "--threads", "1", check=True)
         # 10^5 antithetic pairs are two blocks of draws; the thread count
         # decides which thread draws a block, not what it draws.
@@ -156,11 +154,6 @@ class TestPriceCommand:
         )
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "DomainError"
-
-    def test_physical_measure_pricing_exits_3(self):
-        proc = run_cli("price", *STD_FLAGS, "--measure", "physical")
-        assert proc.returncode == 3
-        assert json.loads(proc.stderr)["error"] == "MeasureError"
 
     def test_unreachable_quad_tolerance_exits_3(self):
         proc = run_cli(
@@ -291,12 +284,12 @@ class TestPriceCommand:
         [line] = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "DomainError"
 
-    def test_bad_threads_env_exits_2(self):
-        proc = run_cli(
-            "price", *STD_FLAGS, "--method", "monte_carlo",
-            env_extra={"ENTROPIC_FX_THREADS": "many"},
-        )
-        assert proc.returncode == 2
+    def test_threads_env_var_is_ignored(self):
+        # Settings come from flags, the config file and defaults only.
+        args = ("price", *STD_FLAGS, "--method", "monte_carlo", "--n-paths", "200000")
+        plain = run_cli(*args, check=True)
+        with_env = run_cli(*args, env_extra={"ENTROPIC_FX_THREADS": "many"}, check=True)
+        assert with_env.stdout == plain.stdout
 
 
 class TestNegativeNumbers:
@@ -467,68 +460,57 @@ MARKET_SETTINGS = {"u0": 1.1, "rd": 0.03, "rf": 0.01, "sigma": 0.25}
 # resolves to, i.e. the documented defaults.
 SETTINGS_SURFACE = {
     "price": (
-        [*MARKET_ARGV, "--measure", "physical", "--strike", "1.2",
-         "--expiry", "0.5", "--kind", "put", "--method", "pde",
-         "--n-paths", "5000", "--seed", "7", "--no-antithetic",
-         "--mc-steps", "3", "--tol", "1e-9", "--n-points", "801",
-         "--n-time-steps", "200", "--x-min", "-2", "--x-max", "2.5",
-         "--threads", "2"],
-        {**MARKET_SETTINGS, "measure": "physical", "strike": 1.2,
-         "expiry": 0.5, "kind": "put", "method": "pde", "n_paths": 5000,
-         "seed": 7, "antithetic": False, "mc_steps": 3, "tol": 1e-9,
-         "n_points": 801, "n_time_steps": 200, "x_min": -2.0, "x_max": 2.5,
-         "threads": 2},
+        [*MARKET_ARGV, "--strike", "1.2", "--expiry", "0.5", "--kind", "put",
+         "--method", "pde", "--n-paths", "5000", "--seed", "7", "--no-antithetic",
+         "--tol", "1e-9", "--n-points", "801", "--n-time-steps", "200",
+         "--x-min", "-2", "--x-max", "2.5", "--threads", "2"],
+        {**MARKET_SETTINGS, "strike": 1.2, "expiry": 0.5, "kind": "put",
+         "method": "pde", "n_paths": 5000, "seed": 7, "antithetic": False,
+         "tol": 1e-9, "n_points": 801, "n_time_steps": 200, "x_min": -2.0,
+         "x_max": 2.5, "threads": 2},
         [*MARKET_ARGV, "--strike", "1.2", "--expiry", "0.5", "--kind", "call"],
-        {**MARKET_SETTINGS, "measure": "risk_neutral", "strike": 1.2,
-         "expiry": 0.5, "kind": "call", "method": "closed_form",
-         "n_paths": 100_000, "seed": 0, "antithetic": True, "mc_steps": 1,
-         "tol": 1e-10, "n_points": 1601, "n_time_steps": 400, "x_min": None,
-         "x_max": None, "threads": None},
+        {**MARKET_SETTINGS, "strike": 1.2, "expiry": 0.5, "kind": "call",
+         "method": "closed_form", "n_paths": 100_000, "seed": 0,
+         "antithetic": True, "tol": 1e-10, "n_points": 1601,
+         "n_time_steps": 400, "x_min": None, "x_max": None, "threads": 1},
     ),
     "parity": (
-        [*MARKET_ARGV, "--measure", "physical", "--strike", "1.2",
-         "--expiry", "0.5", "--sweep", "10", "--sweep-seed", "3"],
-        {**MARKET_SETTINGS, "measure": "physical", "strike": 1.2,
-         "expiry": 0.5, "sweep": 10, "sweep_seed": 3},
+        [*MARKET_ARGV, "--strike", "1.2", "--expiry", "0.5", "--sweep", "10",
+         "--sweep-seed", "3"],
+        {**MARKET_SETTINGS, "strike": 1.2, "expiry": 0.5, "sweep": 10,
+         "sweep_seed": 3},
         [*MARKET_ARGV, "--strike", "1.2", "--expiry", "0.5"],
-        {**MARKET_SETTINGS, "measure": "risk_neutral", "strike": 1.2,
-         "expiry": 0.5, "sweep": 0, "sweep_seed": 0},
+        {**MARKET_SETTINGS, "strike": 1.2, "expiry": 0.5, "sweep": 0,
+         "sweep_seed": 0},
     ),
     "simulate": (
-        [*MARKET_ARGV, "--measure", "risk_neutral", "--horizon", "2",
-         "--n-steps", "12", "--n-paths", "30", "--seed", "5",
-         "--threads", "3", "--output", "paths.csv"],
-        {**MARKET_SETTINGS, "measure": "risk_neutral", "horizon": 2.0,
-         "n_steps": 12, "n_paths": 30, "seed": 5, "threads": 3,
-         "output": "paths.csv"},
+        [*MARKET_ARGV, "--horizon", "2", "--n-steps", "12", "--n-paths", "30",
+         "--seed", "5", "--threads", "3", "--output", "paths.csv"],
+        {**MARKET_SETTINGS, "horizon": 2.0, "n_steps": 12, "n_paths": 30,
+         "seed": 5, "threads": 3, "output": "paths.csv"},
         [*MARKET_ARGV, "--horizon", "2"],
-        {**MARKET_SETTINGS, "measure": "physical", "horizon": 2.0,
-         "n_steps": 100, "n_paths": 1000, "seed": 0, "threads": None,
-         "output": None},
+        {**MARKET_SETTINGS, "horizon": 2.0, "n_steps": 100, "n_paths": 1000,
+         "seed": 0, "threads": 1, "output": None},
     ),
     "fokker-planck": (
-        [*MARKET_ARGV, "--measure", "risk_neutral", "--t", "0.5",
-         "--n-points", "301", "--n-time-steps", "50", "--x-min", "-1",
-         "--x-max", "1", "--output", "density.csv"],
-        {**MARKET_SETTINGS, "measure": "risk_neutral", "t": 0.5,
-         "n_points": 301, "n_time_steps": 50, "x_min": -1.0, "x_max": 1.0,
-         "output": "density.csv"},
+        [*MARKET_ARGV, "--t", "0.5", "--n-points", "301", "--n-time-steps", "50",
+         "--x-min", "-1", "--x-max", "1", "--output", "density.csv"],
+        {**MARKET_SETTINGS, "t": 0.5, "n_points": 301, "n_time_steps": 50,
+         "x_min": -1.0, "x_max": 1.0, "output": "density.csv"},
         [],
-        {"u0": 1.0, "rd": 0.05, "rf": 0.02, "sigma": 0.2,
-         "measure": "physical", "t": 1.0, "n_points": 2001,
-         "n_time_steps": 1000, "x_min": None, "x_max": None, "output": None},
+        {"u0": 1.0, "rd": 0.05, "rf": 0.02, "sigma": 0.2, "t": 1.0,
+         "n_points": 2001, "n_time_steps": 1000, "x_min": None, "x_max": None,
+         "output": None},
     ),
     "maxent-check": (
         ["--k", "0.09", "--k-prime", "0.02", "--spacing", "0.002",
          "--extent-sigmas", "8", "--tol", "1e-11", "--max-iter", "50",
-         "--bound", "1e-5", "--empty-constraints"],
+         "--bound", "1e-5"],
         {"k": 0.09, "k_prime": 0.02, "spacing": 0.002, "extent_sigmas": 8.0,
-         "tol": 1e-11, "max_iter": 50, "bound": 1e-5,
-         "empty_constraints": True},
+         "tol": 1e-11, "max_iter": 50, "bound": 1e-5},
         [],
         {"k": 0.04, "k_prime": 0.01, "spacing": 1e-3, "extent_sigmas": 10.0,
-         "tol": 1e-12, "max_iter": 100, "bound": 1e-6,
-         "empty_constraints": False},
+         "tol": 1e-12, "max_iter": 100, "bound": 1e-6},
     ),
 }
 
@@ -559,6 +541,54 @@ class TestSettingsSurface:
     def test_required_only_resolves_to_defaults(self, command):
         _, _, argv, want = SETTINGS_SURFACE[command]
         self.assert_settings(self.resolve(command, argv), want)
+
+    def test_setting_count(self):
+        assert sum(len(schema) for schema in cli._SCHEMAS.values()) == 52
+
+
+# Settings the CLI no longer has: each subcommand has one measure, Monte
+# Carlo draws the terminal rate in one step, and maxent-check has one mode.
+REMOVED_FLAGS = [
+    ("price", ["--measure", "physical"]),
+    ("parity", ["--measure", "physical"]),
+    ("simulate", ["--measure", "risk_neutral"]),
+    ("fokker-planck", ["--measure", "risk_neutral"]),
+    ("price", ["--mc-steps", "3"]),
+    ("maxent-check", ["--empty-constraints"]),
+]
+REMOVED_KEYS = [
+    ("price", "measure", "physical"),
+    ("simulate", "measure", "risk_neutral"),
+    ("price", "mc_steps", 3),
+    ("maxent-check", "empty_constraints", True),
+]
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize(
+        "command, flag", REMOVED_FLAGS, ids=[f"{c}{f[0]}" for c, f in REMOVED_FLAGS]
+    )
+    def test_flag_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *SETTINGS_SURFACE[command][2], *flag])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "command, key, value", REMOVED_KEYS, ids=[f"{c}-{k}" for c, k, _ in REMOVED_KEYS]
+    )
+    def test_config_key_exits_2(self, command, key, value, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        argv = [command, *SETTINGS_SURFACE[command][2], "--config", str(path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": f"unknown config key: {key}"
+        }
 
 
 class TestParityCommand:
@@ -644,15 +674,6 @@ class TestParityCommand:
         else:
             assert code == 0
             assert out == json.dumps({"max_abs_residual": worst, "n_cases": n_cases}) + "\n"
-
-    def test_physical_measure_exits_3(self):
-        proc = run_cli(
-            "parity",
-            "--u0", "1.0", "--strike", "1.0", "--rd", "0.05", "--rf", "0.02",
-            "--sigma", "0.2", "--expiry", "1.0", "--measure", "physical",
-        )
-        assert proc.returncode == 3
-        assert "MeasureError" in proc.stderr
 
 
 class TestSimulateCommand:
@@ -849,12 +870,6 @@ class TestMaxentCheckCommand:
         assert data["max_pointwise_error"] < 1e-6
         assert data["residual_norm"] <= 1e-12
 
-    def test_empty_constraints_mode(self):
-        proc = run_cli("maxent-check", "--empty-constraints", check=True)
-        data = json.loads(proc.stdout)
-        assert data["unchanged"] is True
-        assert data["iterations"] == 0
-
     def test_unattainable_bound_exits_3(self):
         proc = run_cli("maxent-check", "--bound", "1e-30")
         assert proc.returncode == 3
@@ -901,9 +916,9 @@ class TestMaxentCheckCommand:
 
     def test_grid_limit_counts_points(self, monkeypatch, capsys):
         # The default grid is 2 * 10 * sqrt(0.04) / 1e-3 + 1 = 4001 points.
-        monkeypatch.setattr(cli, "_MAXENT_MAX_POINTS", 4000)
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4000)
         assert cli.main(["maxent-check"]) == 2
-        monkeypatch.setattr(cli, "_MAXENT_MAX_POINTS", 4001)
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4001)
         assert cli.main(["maxent-check"]) == 0
         assert json.loads(capsys.readouterr().out)["iterations"] > 0
 

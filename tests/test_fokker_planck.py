@@ -55,6 +55,24 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             FPGridSpec(**kwargs)
 
+    def test_step_count_is_the_count_asked_for(self):
+        # dt_step = t / N gives back N steps at every N; t / dt_step then
+        # rounds a few ulps above N, which from N ~ 18,000 up is more than
+        # an absolute slack of 1e-12 forgives.
+        rng = np.random.default_rng(19)
+        cases = [(5.0, 18_393), (5.0, 18_869), (1.0, 23_294)] + list(zip(
+            rng.uniform(0.01, 10.0, 20_000).tolist(),
+            rng.integers(1, 200_000, 20_000).tolist(),
+        ))
+        wrong = [(t, n) for t, n in cases if FPGridSpec(-1.0, 1.0, 3, t / n).n_steps(t) != n]
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "t, dt_step, n_steps", [(1.0, 0.3, 4), (1.0, 0.25, 4), (0.5, 2.0, 1)]
+    )
+    def test_step_count_caps_the_step(self, t, dt_step, n_steps):
+        assert FPGridSpec(-1.0, 1.0, 3, dt_step).n_steps(t) == n_steps
+
     def test_largest_grid_is_accepted(self):
         assert FPGridSpec(-1.0, 1.0, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
 

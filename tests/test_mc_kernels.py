@@ -54,24 +54,18 @@ def reference_log_paths(params, horizon, n_steps, n_paths, seed):
     return log_paths
 
 
-def reference_samples(params, opt, n_paths, seed, antithetic, n_steps):
+def reference_samples(params, opt, n_paths, seed, antithetic):
     """mc_price's samples from whole-array temporaries."""
     t = opt.expiry
-    if n_steps > 1:
-        log_paths = reference_log_paths(params, t, n_steps, n_paths, seed)
-        samples = opt.payoff(np.exp(log_paths[:, -1]))
-    else:
-        mean = math.log(params.u0) + params.log_drift * t
-        sd = params.sigma * math.sqrt(t)
-        n_draws = n_paths // 2 if antithetic else n_paths
-        z = block_normals(seed, n_draws, 1)[:, 0]
-        if antithetic:
-            up = opt.payoff(np.exp(mean + sd * z))
-            dn = opt.payoff(np.exp(mean - sd * z))
-            samples = 0.5 * (up + dn)
-        else:
-            samples = opt.payoff(np.exp(mean + sd * z))
-    return samples
+    mean = math.log(params.u0) + params.log_drift * t
+    sd = params.sigma * math.sqrt(t)
+    n_draws = n_paths // 2 if antithetic else n_paths
+    z = block_normals(seed, n_draws, 1)[:, 0]
+    if antithetic:
+        up = opt.payoff(np.exp(mean + sd * z))
+        dn = opt.payoff(np.exp(mean - sd * z))
+        return 0.5 * (up + dn)
+    return opt.payoff(np.exp(mean + sd * z))
 
 
 def merged_moments(samples, block_size):
@@ -93,20 +87,19 @@ def merged_moments(samples, block_size):
     return n, mean, m2
 
 
-def reference_mc_price(params, opt, n_paths, seed, antithetic, n_steps):
+def reference_mc_price(params, opt, n_paths, seed, antithetic):
     """(premium, std_error) of mc_price from whole-array temporaries."""
     discount = math.exp(-params.drift_d * opt.expiry)
-    samples = reference_samples(params, opt, n_paths, seed, antithetic, n_steps)
-    n, mean, m2 = merged_moments(samples, max(1, _CHUNK // n_steps))
+    samples = reference_samples(params, opt, n_paths, seed, antithetic)
+    n, mean, m2 = merged_moments(samples, _CHUNK)
     return discount * mean, discount * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
-def assert_mc_matches_reference(opt, n_paths, seed, antithetic, n_steps, n_partitions):
+def assert_mc_matches_reference(opt, n_paths, seed, antithetic, n_partitions):
     got = mc_price(
-        MARKET, opt, n_paths, seed, antithetic=antithetic, n_steps=n_steps,
-        n_partitions=n_partitions,
+        MARKET, opt, n_paths, seed, antithetic=antithetic, n_partitions=n_partitions
     )
-    premium, std_error = reference_mc_price(MARKET, opt, n_paths, seed, antithetic, n_steps)
+    premium, std_error = reference_mc_price(MARKET, opt, n_paths, seed, antithetic)
     assert same_bits(got.premium, premium)
     assert same_bits(got.std_error, std_error)
 
@@ -131,19 +124,12 @@ class TestMcPriceBitwise:
         opt = OptionSpec(kind, 1.05, 0.7)
         n_paths = 2 * n_draws if antithetic else n_draws
         seed = 1000 * n_partitions + n_draws % 97
-        assert_mc_matches_reference(opt, n_paths, seed, antithetic, 1, n_partitions)
+        assert_mc_matches_reference(opt, n_paths, seed, antithetic, n_partitions)
 
     @pytest.mark.parametrize("opt", OPTIONS)
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_option_battery(self, opt, antithetic):
-        assert_mc_matches_reference(opt, 20_002, 17, antithetic, 1, 3)
-
-    @pytest.mark.parametrize("n_partitions", [1, 2, 5])
-    @pytest.mark.parametrize("n_steps", [2, 12])
-    @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_multi_step(self, kind, n_steps, n_partitions):
-        opt = OptionSpec(kind, 1.05, 0.7)
-        assert_mc_matches_reference(opt, _CHUNK // n_steps + 3, 23, False, n_steps, n_partitions)
+        assert_mc_matches_reference(opt, 20_002, 17, antithetic, 3)
 
     @pytest.mark.parametrize(
         "n_paths, antithetic, n_partitions",
@@ -152,7 +138,7 @@ class TestMcPriceBitwise:
     def test_more_partitions_than_draws(self, n_paths, antithetic, n_partitions):
         # More threads than blocks: the one block runs as with one thread.
         opt = OptionSpec("call", 1.0, 1.0)
-        assert_mc_matches_reference(opt, n_paths, 5, antithetic, 1, n_partitions)
+        assert_mc_matches_reference(opt, n_paths, 5, antithetic, n_partitions)
 
 
 class TestSimulatePathsBitwise:
@@ -244,19 +230,6 @@ class TestThreadCountInvariance:
         for n_partitions in self.THREADS:
             assert same_bits(run(n_partitions), serial), n_partitions
 
-    @pytest.mark.parametrize("n_paths", [2, 3, 8])
-    def test_mc_price_multi_step(self, n_paths):
-        opt = OptionSpec("call", 1.0, 1.5)
-
-        def run(n_partitions):
-            res = mc_price(MARKET, opt, n_paths, 62, antithetic=False,
-                           n_steps=TWO_ROW_STEPS, n_partitions=n_partitions)
-            return res.premium, res.std_error
-
-        serial = run(1)
-        for n_partitions in self.THREADS:
-            assert same_bits(run(n_partitions), serial), n_partitions
-
     @pytest.mark.parametrize(
         "n_steps, n_paths",
         [(1, _CHUNK - 1), (1, _CHUNK + 1), (1, 3 * _CHUNK + 7), (TWO_ROW_STEPS, 7)],
@@ -266,20 +239,6 @@ class TestThreadCountInvariance:
         for n_partitions in self.THREADS:
             got = simulate_paths(PHYSICAL, 1.0, n_steps, n_paths, 63, n_partitions)
             assert same_bits(got.log_paths, serial), n_partitions
-
-
-class TestMultiStepMemory:
-    def test_keeps_one_block_of_paths(self):
-        # 10^5 paths of 252 steps are 202 MB as a whole array; the samples
-        # and a block of paths per thread take a few MB.
-        opt = OptionSpec("call", 1.1, 1.0)
-        tracemalloc.start()
-        try:
-            mc_price(MARKET, opt, 100_000, 5, antithetic=False, n_steps=252, n_partitions=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
 
 
 class TestSingleStepMemory:
@@ -308,24 +267,25 @@ class TestMergedMoments:
         discount = math.exp(-MARKET.drift_d * opt.expiry)
         for seed in range(10):
             got = mc_price(MARKET, opt, n_paths, seed, antithetic=antithetic)
-            samples = reference_samples(MARKET, opt, n_paths, seed, antithetic, 1)
+            samples = reference_samples(MARKET, opt, n_paths, seed, antithetic)
             std = float(np.std(samples, ddof=1))
             assert same_bits(got.premium, discount * float(np.mean(samples)))
             assert same_bits(got.std_error, discount * std / math.sqrt(samples.size))
 
     # Merged block moments round differently from one whole-array pass, but
     # by no more than a few units in the last place.
-    @pytest.mark.parametrize("n_paths, antithetic, n_steps", [
+    @pytest.mark.parametrize("n_paths, antithetic, n_partitions", [
         (2 * (3 * _CHUNK + 7), True, 1),
         (3 * _CHUNK + 7, False, 1),
         (1_000_000, True, 1),
-        (3 * (_CHUNK // 12) + 7, False, 12),
+        (1_000_000, True, 2),
     ])
     @pytest.mark.parametrize("opt", OPTIONS)
-    def test_close_to_whole_array_moments(self, opt, n_paths, antithetic, n_steps):
-        got = mc_price(MARKET, opt, n_paths, 41, antithetic=antithetic, n_steps=n_steps,
-                       n_partitions=2)
-        samples = reference_samples(MARKET, opt, n_paths, 41, antithetic, n_steps)
+    def test_close_to_whole_array_moments(self, opt, n_paths, antithetic, n_partitions):
+        got = mc_price(
+            MARKET, opt, n_paths, 41, antithetic=antithetic, n_partitions=n_partitions
+        )
+        samples = reference_samples(MARKET, opt, n_paths, 41, antithetic)
         discount = math.exp(-MARKET.drift_d * opt.expiry)
         premium = discount * float(np.mean(samples))
         std_error = discount * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
@@ -351,7 +311,7 @@ class TestHits:
         # A pair is a hit when either leg pays, which makes its mean nonzero.
         opt = OptionSpec("put", 1.0, 0.8)
         n_paths = 2 * (3 * _CHUNK + 7)
-        want = np.count_nonzero(reference_samples(MARKET, opt, n_paths, 8, antithetic, 1))
+        want = np.count_nonzero(reference_samples(MARKET, opt, n_paths, 8, antithetic))
         for n_partitions in (1, 2, 5):
             res = mc_price(MARKET, opt, n_paths, 8, antithetic=antithetic,
                            n_partitions=n_partitions)

@@ -480,15 +480,6 @@ class TestMonteCarlo:
         z = (result.premium - expected) / result.std_error
         assert abs(z) < 4.0, f"martingale z-score {z:.2f}"
 
-    def test_multi_step_agrees_with_single_step(self):
-        opt = OptionSpec("call", 1.0, 1.0)
-        multi = mc_price(
-            self.std(), opt, n_paths=200_000, seed=21, antithetic=False, n_steps=12
-        )
-        z = (multi.premium - STD_CALL) / multi.std_error
-        assert abs(z) < 4.0, f"multi-step z-score {z:.2f}"
-        assert multi.diagnostics["n_steps"] == 12
-
     def test_partitioned_run_reproducible(self):
         opt = OptionSpec("call", 1.0, 1.0)
         a = mc_price(self.std(), opt, n_paths=50_000, seed=3, n_partitions=4)
@@ -507,9 +498,9 @@ class TestMonteCarlo:
         [
             dict(n_paths=1, seed=0),
             dict(n_paths=10_001, seed=0, antithetic=True),
-            dict(n_paths=100, seed=0, antithetic=True, n_steps=2),
+            dict(n_paths=0, seed=0, antithetic=False),
             dict(n_paths=100, seed=-1),
-            dict(n_paths=100, seed=0, n_steps=0),
+            dict(n_paths=100, seed=1.5),
             dict(n_paths=100, seed=0, n_partitions=0),
         ],
     )
@@ -753,6 +744,12 @@ class TestPde:
         opt = OptionSpec("call", 1.0, 1.0)
         with pytest.raises(DomainError, match="n_time_steps"):
             default_pde_grid(self.std(), opt, n_time_steps=n_time_steps)
+
+    def test_reports_the_time_steps_asked_for(self):
+        # Over T = 5, t / (t / 18,869) rounds above 18,869 by more than 1e-12.
+        opt = OptionSpec("put", 1.0, 5.0)
+        grid = default_pde_grid(self.std(), opt, n_points=201, n_time_steps=18_869)
+        assert pde_price(self.std(), opt, grid).diagnostics["n_time_steps"] == 18_869
 
     def test_default_grid_satisfies_guards(self):
         for row in BATTERY:
