@@ -60,7 +60,7 @@ def reference_evolve(initial, params, t, spec, factor=_TridiagonalLU):
     h = initial.h
     nu = params.log_drift
     diffusion = 0.5 * params.sigma * params.sigma
-    n_steps = max(1, math.ceil(t / spec.dt_step - 1e-12))
+    n_steps = spec.n_steps(t)
     dt = t / n_steps
     lower, diag, upper = _operator_diagonals(nu, diffusion, h, n)
     lhs = factor(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
@@ -103,7 +103,7 @@ def reference_pde(params, opt, grid, factor=_TridiagonalLU):
     h = float(y[1] - y[0])
     t = opt.expiry
     y0 = log_coordinate(params.u0) + (params.drift_d - params.drift_f) * t
-    n_steps = max(1, math.ceil(t / grid.dt_step - 1e-12))
+    n_steps = grid.n_steps(t)
     dtau = t / n_steps
     diffusion = 0.5 * params.sigma * params.sigma
     # (sigma^2/2)(d_yy - d_y) with couplings in the ratio e^h, so that 1 and
