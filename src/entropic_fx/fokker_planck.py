@@ -29,12 +29,12 @@ _LEAK_TOL = 1e-8
 _SUPPORT_TOL = 1e-12
 # Longest block of the recurrence solves (_RecurrencePair).
 _BLOCK = 64
-# Each block product has at most this many multiply-adds (m * b): blocks
-# shrink, down to 16 entries, and then products take a few rows at a time.
-# OpenBLAS runs such products on one thread; threading one of this size
-# costs more than it saves, and on a busy machine it sometimes stalls.
+# Each matrix product of a solve has at most this many multiply-adds
+# (_product).  OpenBLAS runs such products on one thread; threading one of
+# this size costs more than it saves, and on a busy machine it sometimes stalls.
 _SERIAL_PRODUCT = 1 << 18
-# Smallest normal float; smaller powers and columns are flushed to zero.
+# Smallest normal float; smaller table entries are flushed to zero, since
+# subnormal operands make matrix products many times slower.
 _TINY = np.finfo(float).tiny
 # Largest condition number (1-norm) accepted for the 2x2 capacitance matrix
 # of _TridiagonalLU's Woodbury step.
@@ -161,34 +161,44 @@ def _apply_tridiag(lower, diag, upper, p):
     return out
 
 
-def _powers(r: float, exponents: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * r ** exponents, with results below the smallest normal float
-    flushed to zero: subnormal operands make matrix products many times slower."""
-    out = scale * np.power(r, exponents)
-    out[np.abs(out) < _TINY] = 0.0
-    return out
-
-
 def _power_table(r: float, m: int, reverse: bool, stride: int, scale: float = 1.0):
     """(m, m) table T such that x @ T solves y[i] = scale * x[i] + r**stride *
     y[i -/+ 1] from zero across one block x of m entries."""
     k = np.arange(m)
+    powers = scale * np.power(r, stride * k)
+    powers[np.abs(powers) < _TINY] = 0.0
     gap = k[:, None] - k[None, :] if reverse else k[None, :] - k[:, None]
-    return np.where(gap >= 0, _powers(r, stride * k, scale)[np.abs(gap)], 0.0)
+    return np.where(gap >= 0, powers[np.abs(gap)], 0.0)
+
+
+def _product(blocks, table):
+    """blocks @ table, at most _SERIAL_PRODUCT multiply-adds per product."""
+    rows = max(1, _SERIAL_PRODUCT // table.size)
+    if len(blocks) <= rows:
+        return np.matmul(blocks, table)
+    out = np.empty((len(blocks), table.shape[1]))
+    for i in range(0, len(blocks), rows):
+        np.matmul(blocks[i : i + rows], table, out=out[i : i + rows])
+    return out
 
 
 class _RecurrencePair:
     """x -> z through y[i] = sf * x[i] + f * y[i-1], then z[i] = sb * y[i] +
     b * z[i+1], for |f|, |b| < 1, on m entries, by block matrix products.
 
-    ``input`` is the x to solve for; leading zeros pad it to nb blocks of bl
-    entries.  One product with a power table solves each block of y from
-    zero.  y's block ends then carry across blocks by the same recurrence
-    with ratio f**bl, and z's block starts by theirs with ratio b**bl: a
-    dense (nb, nb) table when the blocks are few, a nested pair (the other
-    ratio 0) otherwise.  The carried values enter as two extra columns of
-    one more product, which solves each block of z from y's local solution.
-    Forward, the zero padding stays zero; backward, only it takes values.
+    ``input`` is the x to solve for (solve() overwrites it), padded by
+    leading zeros to nb blocks of bl entries; the table F B runs both
+    recurrences across a block from zero.  Carries enter a block as x does:
+    y's end Y in the block before as f / sf * Y added to its first x, z's
+    start Z in the block after as b / (sb sf) * Z added to its last x.  A
+    thin product gives each block's y end and z start from zero carries.
+    Y carries with ratio f**bl, and Z, with Y's share through F B[0, 0],
+    with ratio b**bl: by one (2nb, 2nb) table when the blocks are few, by a
+    nested pair (the other ratio 0) each otherwise.  One product with F B
+    then solves x with the carries folded in.  The zero padding stays zero
+    forward and takes values only backward.  Every x entry meets the thin
+    product (0 * inf is nan), so a non-finite one raises there.  ``stride``
+    makes the ratios f**stride and b**stride, for the nested pairs.
     """
 
     def __init__(self, m, f, b, sf=1.0, sb=1.0, stride=1):
@@ -196,53 +206,44 @@ class _RecurrencePair:
         if m * bl > _SERIAL_PRODUCT:
             bl = max(16, _SERIAL_PRODUCT // m)
         nb = -(-m // bl)
-        self._pad, self._bl = nb * bl - m, bl
-        self._rows = _SERIAL_PRODUCT // (bl * bl)  # blocks per product
+        self._pad = nb * bl - m
         self._x = np.zeros((nb, bl))
         self.input = self._x.reshape(-1)[self._pad :]
-        k = np.arange(bl)
-        local_f = np.zeros((bl, bl + 2))
-        local_f[:, :bl] = _power_table(f, bl, False, stride, sf)
-        self._local_f = local_f
-        local_b = _power_table(b, bl, True, stride, sb)
-        self._table = np.vstack(
-            [local_b, _powers(f, stride * (k + 1)) @ local_b, _powers(b, stride * (bl - k))]
-        )
+        forward = _power_table(f, bl, False, stride, sf)
+        self._table = forward @ _power_table(b, bl, True, stride, sb)
         self._table[np.abs(self._table) < _TINY] = 0.0
-        self._start = self._table[: bl + 1, 0].copy()
+        self._ends = np.column_stack([forward[:, -1], self._table[:, 0]])
+        self._fold = fold_f, fold_b = f**stride / sf, b**stride / (sb * sf)
         if nb <= _BLOCK:
-            self._carry_f = _power_table(f, nb, False, stride * bl)
-            self._carry_b = _power_table(b, nb, True, stride * bl)
+            shift = np.eye(nb, k=1)
+            fwd = fold_f * _power_table(f, nb, False, stride * bl) @ shift  # Y before
+            bwd = fold_b * _power_table(b, nb, True, stride * bl) @ shift.T  # Z after
+            carry = np.zeros((nb, 2, nb, 2))  # in the order of the (nb, 2) ends and folds
+            carry[:, 0, :, 0], carry[:, 1, :, 1] = fwd, bwd
+            carry[:, 0, :, 1] = self._table[0, 0] * fwd @ bwd
+            carry[np.abs(carry) < _TINY] = 0.0
+            self._carry = carry.reshape(2 * nb, 2 * nb)
         else:
-            self._carry_f = _RecurrencePair(nb, f, 0.0, stride=stride * bl)
-            self._carry_b = _RecurrencePair(nb, 0.0, b, stride=stride * bl)
-
-    @staticmethod
-    def _carry(carry, ends):
-        if isinstance(carry, np.ndarray):
-            return ends @ carry
-        carry.input[:] = ends
-        return carry.solve()
-
-    def _product(self, blocks, table):
-        """blocks @ table, at most self._rows blocks per product."""
-        rows = self._rows
-        if len(blocks) <= rows:
-            return blocks @ table
-        out = np.empty((len(blocks), table.shape[1]))
-        for i in range(0, len(blocks), rows):
-            np.matmul(blocks[i : i + rows], table, out=out[i : i + rows])
-        return out
+            pair = (_RecurrencePair(nb, *fb, stride=stride * bl) for fb in ((f, 0.0), (0.0, b)))
+            self._carry = tuple(pair)
 
     def solve(self) -> np.ndarray:
         """z for the x in ``input``, as a new array."""
-        bl = self._bl
-        # y's local solutions, and two zero columns
-        blocks = self._product(self._x, self._local_f)
-        blocks[1:, bl] = self._carry(self._carry_f, blocks[:, bl - 1])[:-1]
-        starts = blocks[:, : bl + 1] @ self._start
-        blocks[:-1, bl + 1] = self._carry(self._carry_b, starts)[1:]
-        return self._product(blocks, self._table).reshape(-1)[self._pad :]
+        x = self._x
+        ends = _product(x, self._ends)
+        if not np.isfinite(ends).all():
+            raise NumericalError("right-hand side has non-finite entries")
+        if isinstance(self._carry, np.ndarray):
+            x[:, :: x.shape[1] - 1] += _product(ends.reshape(1, -1), self._carry).reshape(-1, 2)
+        else:
+            carry_f, carry_b = self._carry
+            carry_f.input[:] = ends[:, 0]
+            folds = self._fold[0] * carry_f.solve()[:-1]
+            x[1:, 0] += folds
+            carry_b.input[:] = ends[:, 1]
+            carry_b.input[1:] += self._table[0, 0] * folds
+            x[:-1, -1] += self._fold[1] * carry_b.solve()[1:]
+        return _product(x, self._table).reshape(-1)[self._pad :]
 
 
 class _TridiagonalLU:
@@ -258,7 +259,9 @@ class _TridiagonalLU:
     forward and then -u/q backward.  A = M + U V^T with U = [e_0, e_{n-1}],
     and the Woodbury identity A^-1 = M^-1 (I - U H), H = C^-1 V^T M^-1 with
     C = I + V^T M^-1 U, changes only the first and last right-hand-side
-    entries, by H y.  H is built once from M^T's recurrences.
+    entries, by H y.  H is built once from M^T's recurrences.  Its rows
+    decay from both ends; H y skips the columns whose entries are all below
+    2**-64 / n of H's largest, which sum to at most 2**-64 of it.
 
     The domain, checked here with NumericalError outside it: finite entries,
     n >= 3, exactly constant interior rows, real q with |p| < 1 and
@@ -304,15 +307,12 @@ class _TridiagonalLU:
         if not norm * adj_norm < _CAPACITANCE_COND * abs(det):
             raise NumericalError("tridiagonal matrix is singular or nearly so")
         h = np.array([[c11, -c01], [-c10, c00]]) @ vm / det
-        h[np.abs(h) < _TINY] = 0.0
-        self._h = h
+        self._support = np.flatnonzero(np.abs(h).max(axis=0) > 2.0**-64 / n * np.abs(h).max())
+        self._h = h[:, self._support]
 
     def solve(self, rhs, scale=1.0):
         """A^-1 (scale * rhs), a new array."""
-        # Every rhs entry meets H (0 * inf is nan), so this sees any non-finite one.
-        t0, t1 = (self._h @ rhs).tolist()
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise NumericalError("right-hand side has non-finite entries")
+        t0, t1 = (self._h @ rhs[self._support]).tolist()
         x = self._m.input
         np.multiply(rhs, scale, out=x)
         x[0] -= scale * t0
