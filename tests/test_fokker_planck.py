@@ -293,6 +293,23 @@ def _constant_interior(rng, n):
     return lower, diag, upper
 
 
+def _slowly_contracting(rng, n):
+    """Bands with an interior stencil whose recurrences contract slowly,
+    |p| and |u/q| in [0.9, 0.95] (the 8x Fokker-Planck grid has ~0.925), so
+    the carries cross many blocks and the Woodbury rows reach far in.  The
+    end rows drop the missing neighbour's coupling, as the operators'
+    zero-flux rows do, so the matrix stays diagonally dominant.  Closer to
+    1 the matrix nears singular, and the two solves' rounding parts by
+    more than SOLVE_RTOL."""
+    p, r = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 0.95, 2)
+    q = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0)
+    l, u, d = p * q, r * q, q * (1.0 + p * r)
+    lower, diag, upper = np.full(n - 1, l), np.full(n, d), np.full(n - 1, u)
+    upper[0], lower[-1] = rng.uniform(0.5, 1.0, 2) * (u, l)
+    diag[0], diag[-1] = d - math.copysign(l, d), d - math.copysign(u, d)
+    return lower, diag, upper
+
+
 def _close(got, want, rtol):
     return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
@@ -357,13 +374,23 @@ def _patch_stepper(monkeypatch, cls):
 
 
 class TestTridiagonalLU:
-    @pytest.mark.parametrize("n", [3, 4, 17, 64, 65, 1601, 4097, 16001, 100_001])
-    def test_matches_solve_banded(self, n):
+    @pytest.mark.parametrize(
+        "n, stencil",
+        [
+            *(pytest.param(n, _constant_interior, id=str(n)) for n in (3, 4, 17, 64, 65, 1601)),
+            *(
+                pytest.param(n, stencil, id=f"{prefix}{n}")
+                for n in (4097, 16001, 100_001)
+                for prefix, stencil in (("", _constant_interior), ("slow-", _slowly_contracting))
+            ),
+        ],
+    )
+    def test_matches_solve_banded(self, n, stencil):
         # 3 and 4 rows fill one block, 64 and 65 straddle a block edge,
         # 4097 and 16001 carry across blocks through a nested solve, and
         # 100001 splits its block products into row chunks.
         rng = np.random.default_rng(n)
-        bands = _constant_interior(rng, n)
+        bands = stencil(rng, n)
         lu, ref = _TridiagonalLU(*bands), BandedSolve(*bands)
         for scale in (1.0, 2.0, -0.5):
             rhs = rng.standard_normal(n)
@@ -437,15 +464,54 @@ class TestTridiagonalLU:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             lu.solve(rhs)
 
-    @pytest.mark.parametrize("where", [0, 800, 1600])
+    @pytest.mark.parametrize(
+        "n, where",
+        [
+            *(pytest.param(1601, where, id=str(where)) for where in (0, 800, 1600)),
+            # 16001 rows are 1001 blocks of 16 behind 15 zeros of padding, so
+            # entry 0 shares the first block with the padding, and entries
+            # 7985 and 8000 are the first and last of block 500.
+            pytest.param(16001, 0, id="16001-padded-first-block"),
+            pytest.param(16001, 7985, id="16001-block-first"),
+            pytest.param(16001, 8000, id="16001-block-last"),
+            pytest.param(16001, 16000, id="16001-last"),
+        ],
+    )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rhs_raises_anywhere(self, where, bad):
-        # Far from both ends, where the Woodbury rows have underflowed to 0.
-        lu = _TridiagonalLU(np.full(1600, -0.1), np.full(1601, 3.0), np.full(1600, -0.1))
-        rhs = np.ones(1601)
+    def test_non_finite_rhs_raises_anywhere(self, n, where, bad):
+        # Far from both ends the Woodbury dot does not reach; the block-end
+        # product sees every entry.
+        lu = _TridiagonalLU(np.full(n - 1, -0.1), np.full(n, 3.0), np.full(n - 1, -0.1))
+        rhs = np.ones(n)
         rhs[where] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="right-hand side"):
             lu.solve(rhs)
+
+    def test_block_layout_of_the_nested_size(self):
+        # The layout the ids of test_non_finite_rhs_raises_anywhere name.
+        pair = _TridiagonalLU(np.full(16000, -0.1), np.full(16001, 3.0), np.full(16000, -0.1))._m
+        assert pair.input.base.shape == (1001, 16)
+        assert pair.input.size == 16001
+
+    @pytest.mark.parametrize("n", [16_001, 100_001, 1_000_000])
+    def test_products_stay_serial(self, monkeypatch, n):
+        # Every block product of a solve goes through np.matmul a few rows
+        # at a time, so none exceeds _SERIAL_PRODUCT multiply-adds, and
+        # together the square ones cover every entry.  The Woodbury dot
+        # (2 rows over H's support) stays below it too.
+        lu = _TridiagonalLU(*_slowly_contracting(np.random.default_rng(n), n))
+        shapes = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            shapes.append((*a.shape, b.shape[1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        lu.solve(np.ones(n))
+        largest = max((rows * inner * cols for rows, inner, cols in shapes), default=0)
+        assert max(largest, lu._h.size) <= fokker_planck._SERIAL_PRODUCT
+        assert sum(rows * inner for rows, inner, cols in shapes if inner == cols) >= n
 
     def test_singular_matrix_raises(self):
         # Row 1 is all zeros.
