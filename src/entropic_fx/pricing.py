@@ -24,7 +24,7 @@ from .errors import (
     NumericalError,
     ToleranceNotMet,
 )
-from .fokker_planck import FPGridSpec, _apply_tridiag, _crank_nicolson
+from .fokker_planck import FPGridSpec, _crank_nicolson_factor
 
 CALL = "call"
 PUT = "put"
@@ -428,6 +428,65 @@ def default_pde_grid(
     )
 
 
+def _put_stencil(sigma: float, h: float) -> tuple[float, float, float]:
+    """Interior stencil (l, d, u) of L = (sigma^2/2)(d_yy - d_y) on a grid of
+    step h, its couplings in the ratio e^h so that 1 and e^y solve it
+    exactly on the grid too."""
+    tail = math.exp(-h)
+    lower = sigma * sigma / (h * h) / (1.0 + tail)
+    upper = lower * tail
+    return lower, -(lower + upper), upper
+
+
+def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
+    """W, the undiscounted put, on the nodes ``rows`` of grid y after
+    n_steps Crank-Nicolson steps over time t; and the scaled defect of the
+    last step on the interior nodes among them (0.0 for one step).
+
+    The end rows keep the payoff's end values K - e^y and 0.  Subtracting
+    Phi = a + b e^(y - y_max) through them leaves V with zero ends, and
+    Z = V e^(-(y - y0)/2) turns the interior stencil into a symmetric one
+    with coupling sqrt(l u), whose eigenvectors are sines: one DST-I (an
+    rfft of Z's odd extension), one multiplier per mode, and the inverse.
+    Undoing that scale amplifies the transform's rounding by e^(|y - y0|/2),
+    so W is reliable near y0 only.  The scale's exponent is clipped to
+    +-700: far below y0 and the strike V is exactly 0, and far above y0 Z
+    is negligible.
+    """
+    n = y.size
+    h = float(y[1] - y[0])
+    stencil = lower, diag, upper = _put_stencil(sigma, h)
+    # e^y overflows only above the strike, where the put pays 0.
+    with np.errstate(over="ignore"):
+        payoff = np.maximum(strike - np.exp(y), 0.0)
+    phi = payoff[0] * np.expm1(y - y[-1]) / math.expm1(y[0] - y[-1])
+    scale = np.exp(np.clip(0.5 * (y0 - y), -700.0, 700.0))
+    z = (payoff - phi) * scale
+    # sqrt(l u) = l e^(-h/2); the eigenvalues d + 2 sqrt(l u) cos(theta),
+    # without the cancellation of their terms.
+    theta = (math.pi / (n - 1)) * np.arange(n)
+    couple = lower * math.exp(-0.5 * h)
+    lam = -lower * math.expm1(-0.5 * h) ** 2 - 4.0 * couple * np.sin(0.5 * theta) ** 2
+    dtau = t / n_steps
+    steps = (n_steps - 1, n_steps) if n_steps > 1 else (n_steps,)
+    spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
+    # One inverse transform at a time keeps peak memory down.
+    w = np.array([
+        np.fft.irfft(spectrum * _crank_nicolson_factor(lam, stencil, dtau, k), 2 * (n - 1))[:n][rows]
+        for k in steps
+    ]) / scale[rows] + phi[rows]
+    if not np.isfinite(w).all():
+        raise NumericalError("PDE values overflow on this grid")
+    if n_steps == 1:
+        return w[0], 0.0
+    previous, values = w
+    mid = 0.5 * (previous + values)
+    defect = (values - previous)[1:-1] / dtau - (
+        lower * mid[:-2] + diag * mid[1:-1] + upper * mid[2:]
+    )
+    return values, float(np.max(np.abs(defect))) / (1.0 + float(np.max(np.abs(mid))))
+
+
 def pde_price(
     params: MarketParams, opt: OptionSpec, grid: Optional[FPGridSpec] = None
 ) -> PriceResult:
@@ -440,16 +499,17 @@ def pde_price(
     that equation and do not change with tau, so the grid is one of log rates
     at expiry and its end rows keep the payoff's end values.  Where
     Crank-Nicolson would ring on the payoff kink (on every default grid), the
-    first step is split into two implicit half-steps that damp it.
+    first step is split into two implicit half-steps that damp it.  All the
+    steps are one multiplier per sine mode (_solve_put).
 
     The put premium is e^{-rd T} W(T, y0) at y0 = ln u0 + (rd - rf) T, read
     off the Lagrange cubic through the four nodes nearest y0 (all three on a
     three-point grid), so a y0 on a node reads that node's value.  A call is
     that put plus u0 e^{-rf T} - K e^{-rd T}: static replication, not the
     closed form.  The ``residual`` diagnostic is the scaled defect of the last
-    Crank-Nicolson step's equations, a check on the linear algebra; it is 0.0
-    when n_time_steps is 1.  Values that overflow during the solve raise
-    NumericalError.
+    Crank-Nicolson step's equations on the interior nodes around the read, a
+    check on the transforms; it is 0.0 when n_time_steps is 1.  Values that
+    overflow during the solve raise NumericalError.
     """
     _require_risk_neutral(params)
     if grid is None:
@@ -457,7 +517,6 @@ def pde_price(
 
     y = grid.points()
     n = grid.n_points
-    h = float(y[1] - y[0])
     t = opt.expiry
     y0 = _log_forward(params, t)
     ln_k = math.log(opt.strike)
@@ -474,38 +533,21 @@ def pde_price(
         raise GridTooNarrow("log forward sits within 10% of the grid boundary")
 
     n_steps = grid.n_steps(t)
-    dtau = t / n_steps
-
-    # L = (sigma^2/2)(d_yy - d_y) on interior rows, its couplings in the
-    # ratio e^h so that 1 and e^y, of which the end values are made, solve
-    # it exactly on the grid too; its zero end rows keep those values.
-    diffusion = 0.5 * params.sigma * params.sigma
-    tail = math.exp(-h)
-    lower, diag, upper = np.zeros((3, n))
-    lower[1:-1] = 2.0 * diffusion / (h * h) / (1.0 + tail)
-    upper[1:-1] = lower[1] * tail
-    diag[1:-1] = -(lower[1] + upper[1])
-    # e^y overflows only above the strike, where the put pays 0.
-    with np.errstate(over="ignore"):
-        payoff = np.maximum(opt.strike - np.exp(y), 0.0)
-
-    residual = 0.0
+    # The four nodes read, and one more on each side for the residual.
+    j = max(0, min(int(np.searchsorted(y, y0)) - 2, n - 4))
+    first = max(0, j - 1)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            previous, values = _crank_nicolson(lower, diag, upper, payoff, dtau, n_steps)
-            if n_steps > 1:
-                mid = 0.5 * (previous + values)
-                defect = (values - previous) / dtau - _apply_tridiag(lower, diag, upper, mid)
-                scale = 1.0 + float(np.max(np.abs(mid)))
-                residual = float(np.max(np.abs(defect[1:-1]))) / scale
+            values, residual = _solve_put(
+                params.sigma, opt.strike, y, y0, t, n_steps, slice(first, j + 5)
+            )
     except FloatingPointError as exc:
         raise NumericalError(f"PDE values overflow on this grid ({exc})") from exc
 
-    j = max(0, min(int(np.searchsorted(y, y0)) - 2, n - 4))
     near = y[j : j + 4]
     weights = [np.prod((y0 - near[near != yk]) / (yk - near[near != yk])) for yk in near]
     disc_d = _discount(params.drift_d, t)
-    premium = disc_d * float(np.dot(weights, values[j : j + 4]))
+    premium = disc_d * float(np.dot(weights, values[j - first : j - first + 4]))
     if opt.kind == CALL:
         premium += params.u0 * _discount(params.drift_f, t) - opt.strike * disc_d
     return PriceResult(

@@ -59,13 +59,42 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def operator_diagonals(nu: float, diffusion: float, h: float, n: int):
+    """Tridiagonal Fokker-Planck generator L with zero-flux boundary faces,
+    as the reference marches build it.
+
+    Face flux between cells i and i+1 is the centered average advective
+    part plus a two-point diffusive part; dividing flux differences by h
+    gives rates of change.  Column sums of L vanish, which is exactly
+    discrete mass conservation.
+    """
+    adv = 0.5 * nu / h
+    dif = diffusion / (h * h)
+
+    lower = np.full(n, adv + dif)
+    upper = np.full(n, -adv + dif)
+    diag = np.full(n, -2.0 * dif)
+    diag[0] = -adv - dif
+    diag[-1] = adv - dif
+    lower[0] = 0.0
+    upper[-1] = 0.0
+    return lower, diag, upper
+
+
+def apply_tridiag(lower, diag, upper, p):
+    """L p for L = tridiag(lower, diag, upper) laid out as in operator_diagonals."""
+    out = diag * p
+    out[1:] += lower[1:] * p[:-1]
+    out[:-1] += upper[:-1] * p[1:]
+    return out
+
+
 class BandedSolve:
-    """Reference for fokker_planck._TridiagonalLU with the same signature:
-    scipy's ``solve_banded`` (LAPACK, partial pivoting) on every solve.
-    scipy is a test-only dependency."""
+    """A tridiagonal matrix factored for the reference marches: scipy's
+    ``solve_banded`` (LAPACK, partial pivoting) on every solve.  scipy is a
+    test-only dependency."""
 
     def __init__(self, lower, diag, upper):
-        self.bands = (lower.copy(), diag.copy(), upper.copy())
         # (3, n) banded storage; ab[0, 0] and ab[2, -1] are unused.
         self.ab = np.zeros((3, diag.size))
         self.ab[0, 1:] = upper

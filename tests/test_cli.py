@@ -127,6 +127,14 @@ class TestPriceCommand:
         data = json.loads(proc.stdout)
         assert abs(data["premium"] - STD_CALL) / STD_CALL < 1e-4
 
+    def test_pde_step_count_costs_nothing(self):
+        # A billion time steps are one multiplier per mode, as 400 are.
+        default = json.loads(run_cli("price", *STD_FLAGS, "--method", "pde", check=True).stdout)
+        many = run_cli(
+            "price", *STD_FLAGS, "--method", "pde", "--n-time-steps", "1000000000", check=True
+        )
+        assert json.loads(many.stdout)["premium"] == pytest.approx(default["premium"], rel=1e-4)
+
     def test_method_all_consistency(self):
         proc = run_cli(
             "price", *STD_FLAGS,
@@ -808,6 +816,15 @@ class TestFokkerPlanckCommand:
         )
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "MassLeak"
+
+    def test_step_count_costs_nothing(self):
+        # A billion time steps are one multiplier per mode, as 1,000 are.
+        default = run_cli("fokker-planck", check=True)
+        many = run_cli("fokker-planck", "--n-time-steps", "1000000000", check=True)
+        a, b = density_from_csv(default.stdout), density_from_csv(many.stdout)
+        assert float(np.sum(np.abs(a.weights - b.weights))) * a.h < 1e-4
+        l1 = [json.loads(proc.stderr)["l1_distance_to_analytic"] for proc in (default, many)]
+        assert l1[1] == pytest.approx(l1[0], abs=1e-4)
 
     def test_bad_t_exits_2(self):
         proc = run_cli("fokker-planck", "--t", "-1.0")

@@ -1,17 +1,13 @@
-"""The shared Crank-Nicolson marcher against the two time loops it replaced.
+"""The spectral grid solvers against the time loops they replaced.
 
-``evolve_density`` and ``pde_price`` both march through
-``fokker_planck._crank_nicolson``.  The references below are the loops each
-solver would run on its own: they assemble their own matrix and boundary
-rows and take their own steps (two implicit half-steps where
-Crank-Nicolson would ring, then Crank-Nicolson as x' = 2 A^-1 x - x), so a
-wrong band, a wrong boundary row or a wrong step order in the marcher shows
-up.  They take the
-factor-and-solve as ``factor``.  With the library's ``_TridiagonalLU``
-(checked against ``solve_banded`` in test_fokker_planck.py) the marcher must
-match them to the bit; with scipy's ``solve_banded`` on every step
-(``BandedSolve``), within the stated tolerances.  Only the FP operator's
-bands (``_operator_diagonals``) are shared.
+``evolve_density`` and ``pde_price`` take all their Crank-Nicolson steps as
+one multiplier per Fourier or sine mode.  The references below are the
+loops each solver would run step by step: they assemble their own matrix
+and boundary rows and take their own steps (two implicit half-steps where
+Crank-Nicolson would ring, then Crank-Nicolson as x' = 2 A^-1 x - x), with
+scipy's ``solve_banded`` on every step (``BandedSolve``), so a wrong
+eigenvalue, a wrong split rule or a wrong boundary treatment shows up.
+The solvers must match them within the stated tolerances.
 """
 
 import math
@@ -32,26 +28,21 @@ from entropic_fx import (
     point_mass_density,
 )
 from entropic_fx.dynamics import log_coordinate
-from entropic_fx.fokker_planck import (
-    _LEAK_TOL,
-    _finalize_weights,
-    _operator_diagonals,
-    _TridiagonalLU,
-)
+from entropic_fx.fokker_planck import _LEAK_TOL, _finalize_weights
 
-from conftest import BandedSolve, same_bits
+from conftest import BandedSolve, operator_diagonals
 
-# Agreement with the per-step solve_banded loops.  The two linear solves
-# differ in rounding, and Crank-Nicolson carries that difference along:
+# Agreement with the per-step solve_banded loops.  The transforms and the
+# linear solves differ in rounding, and the loops carry theirs along:
 # relative to the premium, or to the density's L1 norm.
 PREMIUM_RTOL = 1e-9
 DENSITY_L1_TOL = 1e-9
-# Both loops' last-step defect stays at rounding level (a few 1e-10 on the
-# 8x grid).
+# The last step's defect, of the loops and of pde_price, stays at rounding
+# level (a few 1e-10 on the 8x grid).
 RESIDUAL_MAX = 1e-8
 
 
-def reference_evolve(initial, params, t, spec, factor=_TridiagonalLU):
+def reference_evolve(initial, params, t, spec, factor=BandedSolve):
     """evolve_density's own loop: two implicit half-steps where CN would ring,
     then CN steps, with the boundary-flux leak sum counting each step at its
     own length."""
@@ -62,7 +53,7 @@ def reference_evolve(initial, params, t, spec, factor=_TridiagonalLU):
     diffusion = 0.5 * params.sigma * params.sigma
     n_steps = spec.n_steps(t)
     dt = t / n_steps
-    lower, diag, upper = _operator_diagonals(nu, diffusion, h, n)
+    lower, diag, upper = operator_diagonals(nu, diffusion, h, n)
     lhs = factor(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1])
 
     adv = 0.5 * nu
@@ -93,7 +84,7 @@ def reference_evolve(initial, params, t, spec, factor=_TridiagonalLU):
     return _finalize_weights(points, p).weights
 
 
-def reference_pde(params, opt, grid, factor=_TridiagonalLU):
+def reference_pde(params, opt, grid, factor=BandedSolve):
     """pde_price's own loops: the undiscounted put W on the log-forward grid,
     identity end rows that keep the payoff's end values, two implicit
     half-steps where CN would ring, then CN; a call added by replication.
@@ -166,46 +157,50 @@ PDE_CASES = {
 }
 
 
-class TestPdePrice:
-    @pytest.mark.parametrize("kind, strike", [("call", 1.1), ("put", 1.6)])
-    @pytest.mark.parametrize("case", sorted(PDE_CASES))
-    def test_bitwise_equal_to_reference_loop(self, case, kind, strike):
-        opt = OptionSpec(kind, strike, 0.7)
-        grid = PDE_CASES[case](opt)
-        result = pde_price(MARKET, opt, grid)
-        premium, residual = reference_pde(MARKET, opt, grid)
-        assert same_bits(result.premium, premium)
-        assert same_bits(result.diagnostics["residual"], residual)
+def small_grid_pde(n_points, n_time_steps, kind):
+    """A 3- or 4-point grid.  Log spot 0.3 (call) or -0.3 (put) on a (-2, 2)
+    grid, where a 3-point grid's parabola keeps the put, and the call
+    replicated from it, positive."""
+    market = MarketParams.risk_neutral(
+        math.exp(0.3 if kind == "call" else -0.3), 0.05, 0.02, 0.2
+    )
+    grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / n_time_steps)
+    return market, OptionSpec(kind, 1.0, 1.0), grid
 
-    @pytest.mark.parametrize("kind, strike", [("call", 1.1), ("put", 1.6)])
-    @pytest.mark.parametrize("case", sorted(PDE_CASES))
+
+def pde_case(case, kind, strike):
+    """(market, option, grid) of a case of PDE_CASES on MARKET, or of a
+    small grid named (n_points, n_time_steps)."""
+    if isinstance(case, tuple):
+        return small_grid_pde(*case, kind)
+    opt = OptionSpec(kind, strike, 0.7)
+    return MARKET, opt, PDE_CASES[case](opt)
+
+
+PDE_RUNS = [
+    *(
+        pytest.param(case, kind, strike, id=f"{case}-{kind}-{strike}")
+        for case in sorted(PDE_CASES)
+        for kind, strike in [("call", 1.1), ("put", 1.6)]
+    ),
+    *(
+        pytest.param((n_points, n_steps), kind, 1.0, id=f"{n_points}_points-{n_steps}_steps-{kind}")
+        for n_points in (3, 4)
+        for n_steps in (1, 2, 400)
+        for kind in ("call", "put")
+    ),
+]
+
+
+class TestPdePrice:
+    @pytest.mark.parametrize("case, kind, strike", PDE_RUNS)
     def test_matches_solve_banded_loop(self, case, kind, strike):
-        opt = OptionSpec(kind, strike, 0.7)
-        grid = PDE_CASES[case](opt)
-        result = pde_price(MARKET, opt, grid)
-        premium, residual = reference_pde(MARKET, opt, grid, factor=BandedSolve)
+        market, opt, grid = pde_case(case, kind, strike)
+        result = pde_price(market, opt, grid)
+        premium, residual = reference_pde(market, opt, grid)
         assert result.premium == pytest.approx(premium, rel=PREMIUM_RTOL, abs=0.0)
         assert result.diagnostics["residual"] < RESIDUAL_MAX
         assert residual < RESIDUAL_MAX
-
-    @pytest.mark.parametrize("kind", ["call", "put"])
-    @pytest.mark.parametrize("n_points", [3, 4])
-    @pytest.mark.parametrize("n_time_steps", [1, 2, 400])
-    def test_small_grids_bitwise_equal_to_reference_loop(
-        self, n_points, n_time_steps, kind
-    ):
-        # Log spot 0.3 (call) or -0.3 (put) on a (-2, 2) grid, where a 3-point
-        # grid's parabola keeps the put, and the call replicated from it,
-        # positive.
-        market = MarketParams.risk_neutral(
-            math.exp(0.3 if kind == "call" else -0.3), 0.05, 0.02, 0.2
-        )
-        opt = OptionSpec(kind, 1.0, 1.0)
-        grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / n_time_steps)
-        result = pde_price(market, opt, grid)
-        premium, residual = reference_pde(market, opt, grid)
-        assert same_bits(result.premium, premium)
-        assert same_bits(result.diagnostics["residual"], residual)
 
     def test_one_step_has_no_crank_nicolson_residual(self):
         opt = OptionSpec("call", 1.1, 0.7)
@@ -246,18 +241,12 @@ FP_CASES = {
 
 class TestEvolveDensity:
     @pytest.mark.parametrize("case", sorted(FP_CASES))
-    def test_bitwise_equal_to_reference_loop(self, case):
-        args = FP_CASES[case]()
-        weights = evolve_density(*args).weights
-        assert same_bits(weights, reference_evolve(*args))
-        assert not same_bits(weights, args[0].weights)  # the density moved
-
-    @pytest.mark.parametrize("case", sorted(FP_CASES))
     def test_matches_solve_banded_loop(self, case):
         args = FP_CASES[case]()
         weights = evolve_density(*args).weights
-        reference = reference_evolve(*args, factor=BandedSolve)
+        reference = reference_evolve(*args)
         assert np.sum(np.abs(weights - reference)) <= DENSITY_L1_TOL * np.sum(reference)
+        assert not np.array_equal(weights, args[0].weights)  # the density moved
 
     def test_leak_raises_like_reference_loop(self):
         # Spot near the top edge of a narrow grid: both loops hit the leak

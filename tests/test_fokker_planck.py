@@ -19,15 +19,10 @@ from entropic_fx import (
     transition_density,
     transition_pdf,
 )
-from entropic_fx import fokker_planck, pricing
 from entropic_fx.grids import MAX_GRID_POINTS
-from entropic_fx.fokker_planck import (
-    _finalize_weights,
-    _operator_diagonals,
-    _TridiagonalLU,
-)
+from entropic_fx.fokker_planck import _finalize_weights
 
-from conftest import BandedSolve, same_bits
+from conftest import operator_diagonals
 
 
 def flat_rates_market(sigma=0.2):
@@ -185,6 +180,17 @@ class TestDiffusionAgainstClosedForm:
         exact = analytic_density(market, t, pts)
         assert l1_distance(evolved, exact) < 1e-3
 
+    def test_tiny_sigma_point_mass_evolves(self):
+        # sigma = 1e-8 on the default grid peaks the density at 4e7, so its
+        # round-off is far above 1e-12 in absolute terms, though not
+        # relative to that peak.
+        market = MarketParams(u0=1.3, drift_d=0.02, drift_f=0.02, sigma=1e-8)
+        spec = default_grid(market, 1.0)
+        pts = spec.points()
+        evolved = evolve_density(point_mass_density(pts, math.log(1.3)), market, 1.0, spec)
+        assert evolved.mass() == pytest.approx(1.0, abs=1e-10)
+        assert l1_distance(evolved, analytic_density(market, 1.0, pts)) < 1e-3
+
     def test_mass_conserved_through_long_run(self):
         market = flat_rates_market(0.2)
         spec = FPGridSpec(-3.0, 3.0, 1501, dt_step=1e-3)
@@ -246,7 +252,7 @@ class TestFailureModes:
 class TestOperatorProperties:
     def test_column_sums_vanish(self):
         # Zero column sums of the generator are discrete mass conservation.
-        lower, diag, upper = _operator_diagonals(nu=0.017, diffusion=0.02, h=1e-3, n=50)
+        lower, diag, upper = operator_diagonals(nu=0.017, diffusion=0.02, h=1e-3, n=50)
         col = diag.copy()
         col[:-1] += lower[1:]
         col[1:] += upper[:-1]
@@ -270,284 +276,3 @@ class TestOperatorProperties:
         p = np.array([-1e-6, 1.0, 1.0, 1.0, 0.5])
         with pytest.raises(NumericalError):
             _finalize_weights(pts, p)
-
-
-# Normwise agreement of _TridiagonalLU with solve_banded on the matrices
-# below; each is diagonally dominant, so both solves are accurate to a few
-# ulps of the solution's largest entry.
-SOLVE_RTOL = 1e-13
-# Agreement of whole solver runs with the per-step solve_banded ones: the
-# premium relative, the density in L1.  Crank-Nicolson carries the two
-# solves' rounding differences along (up to ~5e-11 on 8x grids).
-RUN_RTOL = 1e-9
-
-
-def _constant_interior(rng, n):
-    """Bands of a diagonally dominant tridiagonal matrix with one random
-    stencil on its interior rows and random first and last rows."""
-    l, u = rng.uniform(-1.0, 1.0, 2)
-    d = rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 4.0)
-    lower, diag, upper = np.full(n - 1, l), np.full(n, d), np.full(n - 1, u)
-    upper[0], lower[-1] = rng.uniform(-1.0, 1.0, 2)
-    diag[0], diag[-1] = rng.choice([-1.0, 1.0], 2) * rng.uniform(1.5, 4.0, 2)
-    return lower, diag, upper
-
-
-def _slowly_contracting(rng, n):
-    """Bands with an interior stencil whose recurrences contract slowly,
-    |p| and |u/q| in [0.9, 0.95] (the 8x Fokker-Planck grid has ~0.925), so
-    the carries cross many blocks and the Woodbury rows reach far in.  The
-    end rows drop the missing neighbour's coupling, as the operators'
-    zero-flux rows do, so the matrix stays diagonally dominant.  Closer to
-    1 the matrix nears singular, and the two solves' rounding parts by
-    more than SOLVE_RTOL."""
-    p, r = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 0.95, 2)
-    q = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0)
-    l, u, d = p * q, r * q, q * (1.0 + p * r)
-    lower, diag, upper = np.full(n - 1, l), np.full(n, d), np.full(n - 1, u)
-    upper[0], lower[-1] = rng.uniform(0.5, 1.0, 2) * (u, l)
-    diag[0], diag[-1] = d - math.copysign(l, d), d - math.copysign(u, d)
-    return lower, diag, upper
-
-
-def _close(got, want, rtol):
-    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-
-
-_MARKET = MarketParams.risk_neutral(1.3, 0.05, 0.02, 0.25)
-_FP_T = 0.7
-_FP_SPEC = default_grid(_MARKET, _FP_T, n_points=801, n_time_steps=300)
-_OPTIONS = (pricing.OptionSpec("call", 1.1, 0.7), pricing.OptionSpec("put", 1.6, 2.0))
-
-
-def _grid_solver_runs():
-    """Fresh evolve_density and pde_price calls: the FP run, then a call and a put."""
-    initial = point_mass_density(_FP_SPEC.points(), math.log(_MARKET.u0))
-    return (
-        lambda: evolve_density(initial, _MARKET, _FP_T, _FP_SPEC).weights,
-        *(lambda opt=opt: pricing.pde_price(_MARKET, opt) for opt in _OPTIONS),
-    )
-
-
-def _fp_banded_lhs():
-    """I - dt/2 L of the FP run, assembled as the per-step solve_banded code did."""
-    n = _FP_SPEC.n_points
-    points = _FP_SPEC.points()
-    h = (points[-1] - points[0]) / (n - 1)
-    dt = _FP_T / max(1, math.ceil(_FP_T / _FP_SPEC.dt_step - 1e-12))
-    lower, diag, upper = _operator_diagonals(
-        _MARKET.log_drift, 0.5 * _MARKET.sigma * _MARKET.sigma, h, n
-    )
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
-    return ab
-
-
-def _pde_banded_lhs(opt):
-    """I - dtau/2 L of pde_price on its default grid, assembled as the
-    per-step solve_banded code would: L = (sigma^2/2)(d_yy - d_y) on the
-    interior rows of the log-forward grid, its couplings in the ratio e^h,
-    and identity end rows."""
-    grid = pricing.default_pde_grid(_MARKET, opt)
-    y, n = grid.points(), grid.n_points
-    h = float(y[1] - y[0])
-    dtau = opt.expiry / max(1, math.ceil(opt.expiry / grid.dt_step - 1e-12))
-    diffusion = 0.5 * _MARKET.sigma * _MARKET.sigma
-    tail = math.exp(-h)
-    lower_c = 2.0 * diffusion / (h * h) / (1.0 + tail)
-    upper_c = lower_c * tail
-    diag_c = -(lower_c + upper_c)
-    theta_dt = 0.5 * dtau
-    ab = np.zeros((3, n))
-    ab[0, 2:] = -theta_dt * upper_c
-    ab[1, 1:-1] = 1.0 - theta_dt * diag_c
-    ab[2, :-2] = -theta_dt * lower_c
-    ab[1, 0] = 1.0
-    ab[1, -1] = 1.0
-    return ab
-
-
-def _patch_stepper(monkeypatch, cls):
-    monkeypatch.setattr(fokker_planck, "_TridiagonalLU", cls)
-
-
-class TestTridiagonalLU:
-    @pytest.mark.parametrize(
-        "n, stencil",
-        [
-            *(pytest.param(n, _constant_interior, id=str(n)) for n in (3, 4, 17, 64, 65, 1601)),
-            *(
-                pytest.param(n, stencil, id=f"{prefix}{n}")
-                for n in (4097, 16001, 100_001)
-                for prefix, stencil in (("", _constant_interior), ("slow-", _slowly_contracting))
-            ),
-        ],
-    )
-    def test_matches_solve_banded(self, n, stencil):
-        # 3 and 4 rows fill one block, 64 and 65 straddle a block edge,
-        # 4097 and 16001 carry across blocks through a nested solve, and
-        # 100001 splits its block products into row chunks.
-        rng = np.random.default_rng(n)
-        bands = stencil(rng, n)
-        lu, ref = _TridiagonalLU(*bands), BandedSolve(*bands)
-        for scale in (1.0, 2.0, -0.5):
-            rhs = rng.standard_normal(n)
-            got = lu.solve(rhs, scale)
-            assert _close(got, ref.solve(rhs, scale), SOLVE_RTOL)
-            assert np.all(rhs == rhs)  # not overwritten
-
-    def test_solver_matrices_bitwise_equal_to_solve_banded(self, monkeypatch):
-        # The bands each solver factors are, to the bit, those the per-step
-        # solve_banded code assembled (ab[0, 0] and ab[2, -1] are unused), and
-        # the factor solves them as solve_banded does.
-        built = []
-
-        class Recorder(BandedSolve):
-            def __init__(self, *bands):
-                super().__init__(*bands)
-                built.append(self)
-
-        _patch_stepper(monkeypatch, Recorder)
-        for run in _grid_solver_runs():
-            run()
-        assert len(built) == 3
-        expected = [_fp_banded_lhs(), *(_pde_banded_lhs(opt) for opt in _OPTIONS)]
-        for ref, ab in zip(built, expected):
-            assert same_bits(ref.ab[0, 1:], ab[0, 1:])
-            assert same_bits(ref.ab[1], ab[1])
-            assert same_bits(ref.ab[2, :-1], ab[2, :-1])
-        rng = np.random.default_rng(3)
-        for ref in built:
-            lu = _TridiagonalLU(*ref.bands)
-            rhs = rng.standard_normal(ref.bands[1].size)
-            assert _close(lu.solve(rhs), ref.solve(rhs), SOLVE_RTOL)
-
-    def test_solvers_match_per_step_solve_banded(self, monkeypatch):
-        fast = [run() for run in _grid_solver_runs()]
-        _patch_stepper(monkeypatch, BandedSolve)
-        reference = [run() for run in _grid_solver_runs()]
-        assert np.sum(np.abs(fast[0] - reference[0])) <= RUN_RTOL * np.sum(reference[0])
-        for got, want in zip(fast[1:], reference[1:]):
-            assert got.premium == pytest.approx(want.premium, rel=RUN_RTOL, abs=0.0)
-
-    def test_one_factorization_per_solver_call(self, monkeypatch):
-        factored = []
-
-        class Counting(_TridiagonalLU):
-            def __init__(self, *bands):
-                factored.append(bands[1].size)
-                super().__init__(*bands)
-
-        _patch_stepper(monkeypatch, Counting)
-        for run in _grid_solver_runs():
-            before = len(factored)
-            run()
-            assert len(factored) == before + 1
-
-    @pytest.mark.parametrize("band", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_matrix_raises(self, band, bad):
-        bands = [np.full(4, 0.5), np.full(5, 2.0), np.full(4, 0.5)]
-        bands[band][1] = bad
-        with pytest.raises(NumericalError):
-            _TridiagonalLU(*bands)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_rhs_raises(self, bad):
-        lu = _TridiagonalLU(np.full(4, 0.5), np.full(5, 2.0), np.full(4, 0.5))
-        rhs = np.ones(5)
-        rhs[2] = bad
-        # numpy reports the infinity times a zero of the Woodbury rows as an
-        # invalid value before the solve raises.
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            lu.solve(rhs)
-
-    @pytest.mark.parametrize(
-        "n, where",
-        [
-            *(pytest.param(1601, where, id=str(where)) for where in (0, 800, 1600)),
-            # 16001 rows are 1001 blocks of 16 behind 15 zeros of padding, so
-            # entry 0 shares the first block with the padding, and entries
-            # 7985 and 8000 are the first and last of block 500.
-            pytest.param(16001, 0, id="16001-padded-first-block"),
-            pytest.param(16001, 7985, id="16001-block-first"),
-            pytest.param(16001, 8000, id="16001-block-last"),
-            pytest.param(16001, 16000, id="16001-last"),
-        ],
-    )
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rhs_raises_anywhere(self, n, where, bad):
-        # Far from both ends the Woodbury dot does not reach; the block-end
-        # product sees every entry.
-        lu = _TridiagonalLU(np.full(n - 1, -0.1), np.full(n, 3.0), np.full(n - 1, -0.1))
-        rhs = np.ones(n)
-        rhs[where] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="right-hand side"):
-            lu.solve(rhs)
-
-    def test_block_layout_of_the_nested_size(self):
-        # The layout the ids of test_non_finite_rhs_raises_anywhere name.
-        pair = _TridiagonalLU(np.full(16000, -0.1), np.full(16001, 3.0), np.full(16000, -0.1))._m
-        assert pair.input.base.shape == (1001, 16)
-        assert pair.input.size == 16001
-
-    @pytest.mark.parametrize("n", [16_001, 100_001, 1_000_000])
-    def test_products_stay_serial(self, monkeypatch, n):
-        # Every block product of a solve goes through np.matmul a few rows
-        # at a time, so none exceeds _SERIAL_PRODUCT multiply-adds, and
-        # together the square ones cover every entry.  The Woodbury dot
-        # (2 rows over H's support) stays below it too.
-        lu = _TridiagonalLU(*_slowly_contracting(np.random.default_rng(n), n))
-        shapes = []
-        matmul = np.matmul
-
-        def recording(a, b, **kwargs):
-            shapes.append((*a.shape, b.shape[1]))
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", recording)
-        lu.solve(np.ones(n))
-        largest = max((rows * inner * cols for rows, inner, cols in shapes), default=0)
-        assert max(largest, lu._h.size) <= fokker_planck._SERIAL_PRODUCT
-        assert sum(rows * inner for rows, inner, cols in shapes if inner == cols) >= n
-
-    def test_singular_matrix_raises(self):
-        # Row 1 is all zeros.
-        with pytest.raises(NumericalError):
-            _TridiagonalLU(np.array([0.0, 1.0]), np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("n", [3, 4, 17])
-    def test_singular_corner_rows_raise(self, n):
-        # A contracting stencil, but the last diagonal entry makes det(A) = 0:
-        # det(A) = diag[-1] * det(A[:-1, :-1]) - lower[-1] * upper[-1] * det(A[:-2, :-2]).
-        lower, diag, upper = np.full(n - 1, 0.5), np.full(n, 3.0), np.full(n - 1, 0.5)
-        diag[0], upper[0] = 1.0, 1.0
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        diag[-1] = (
-            lower[-1] * upper[-1] * np.linalg.det(dense[:-2, :-2]) / np.linalg.det(dense[:-1, :-1])
-        )
-        with pytest.raises(NumericalError, match="singular"):
-            _TridiagonalLU(lower, diag, upper)
-
-    def test_too_few_rows_raise(self):
-        with pytest.raises(NumericalError, match="3 rows"):
-            _TridiagonalLU(np.array([0.5]), np.array([2.0, 2.0]), np.array([0.5]))
-
-    @pytest.mark.parametrize("band, row", [(0, 0), (1, 1), (1, 15), (2, 15)])
-    def test_non_constant_interior_raises(self, band, row):
-        bands = [np.full(16, 0.5), np.full(17, 2.0), np.full(16, 0.5)]
-        bands[band][row] = np.nextafter(bands[band][row], 3.0)
-        with pytest.raises(NumericalError, match="non-constant"):
-            _TridiagonalLU(*bands)
-
-    @pytest.mark.parametrize(
-        "l, d, u",
-        [(2.0, 1.0, 2.0), (3.0, 1.0, -0.1), (-0.1, 1.0, 3.0), (0.0, 0.0, 0.0)],
-        ids=["complex_roots", "forward_grows", "backward_grows", "zero_stencil"],
-    )
-    def test_non_contracting_stencil_raises(self, l, d, u):
-        bands = [np.full(16, l), np.full(17, d), np.full(16, u)]
-        with pytest.raises(NumericalError, match="do not contract"):
-            _TridiagonalLU(*bands)

@@ -1,9 +1,10 @@
-"""No import or CLI subcommand loads scipy.
+"""No import or CLI subcommand loads scipy, and only the grid solvers load
+numpy.fft.
 
-scipy is not a runtime dependency: the grid solvers' tridiagonal solve is
-numpy (fokker_planck._TridiagonalLU), and quadrature is a numpy
-Gauss-Legendre rule.  Tests still use scipy as a reference.  Each check runs
-in a fresh interpreter, because this test process may already hold scipy.
+scipy is not a runtime dependency: the grid solvers' transforms are numpy's
+(numpy.fft), and quadrature is a numpy Gauss-Legendre rule.  Tests still use
+scipy as a reference.  Each check runs in a fresh interpreter, because this
+test process may already hold scipy.
 """
 
 import ast
@@ -20,19 +21,20 @@ _REPORT = (
 # Imports the module named by argv[1].
 _IMPORT = "import importlib, json, sys\nimportlib.import_module(sys.argv[1])\n" + _REPORT
 # Runs the CLI command given by argv[1:] in-process, stdout discarded.
-_RUN_COMMAND = """
+_RUN = """
 import contextlib, io, json, sys
 from entropic_fx import cli
 with contextlib.redirect_stdout(io.StringIO()):
     if cli.main(sys.argv[1:]) != 0:
         sys.exit("command failed")
-""" + _REPORT
+"""
+_RUN_COMMAND = _RUN + _REPORT
 
 MARKET = ["--u0", "1.0", "--rd", "0.05", "--rf", "0.02", "--sigma", "0.2"]
 OPTION = ["--strike", "1.0", "--expiry", "1.0"]
 
 
-def scipy_loaded(code: str, *argv: str) -> list[str]:
+def report(code: str, *argv: str):
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
@@ -59,7 +61,7 @@ def test_source_imports_no_scipy():
 
 @pytest.mark.parametrize("module", ["entropic_fx", "entropic_fx.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_loaded(_IMPORT, module) == []
+    assert report(_IMPORT, module) == []
 
 
 @pytest.mark.parametrize(
@@ -86,7 +88,25 @@ def test_import_loads_no_scipy(module):
     ],
 )
 def test_scipy_free_commands(argv):
-    assert scipy_loaded(_RUN_COMMAND, *argv) == []
+    assert report(_RUN_COMMAND, *argv) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", *MARKET, *OPTION, "--kind", "call"],
+        [
+            "simulate", *MARKET, "--horizon", "1.0", "--n-steps", "5",
+            "--n-paths", "4", "--seed", "1",
+        ],
+    ],
+    ids=["price", "simulate"],
+)
+def test_commands_without_a_grid_load_no_fft(argv):
+    # numpy.fft adds ~0.25 MB; the grid solvers reach it as np.fft when they
+    # run.  A numpy that loads it on import loads it for every command.
+    check = "print(json.dumps('numpy.fft' in sys.modules))"
+    assert report(_RUN + check, *argv) == report("import json, sys, numpy\n" + check)
 
 
 def test_cli_import_loads_no_thread_pool():

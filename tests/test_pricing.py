@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropic_fx import fokker_planck, pricing
+from entropic_fx import pricing
 from entropic_fx import (
     DomainError,
     FPGridSpec,
@@ -32,7 +32,7 @@ from entropic_fx import (
     std_normal_cdf,
 )
 
-from conftest import BATTERY, battery_case, same_bits
+from conftest import BATTERY, apply_tridiag, battery_case, same_bits
 
 # Frozen oracle values for the standard case u0=1, K=1, rd=0.05, rf=0.02,
 # sigma=0.2, T=1, computed with 40-digit arithmetic.
@@ -586,12 +586,25 @@ class TestPde:
         with pytest.raises(GridTooNarrow):
             pde_price(market, opt, grid)
 
-    @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_grid_past_exp_overflow_prices(self, kind):
+    @pytest.mark.parametrize(
+        "kind, sigma",
+        [
+            pytest.param("call", 30.0, id="call"),
+            pytest.param("put", 30.0, id="put"),
+            *(
+                pytest.param(kind, sigma, id=f"{kind}-sigma{sigma:g}")
+                for sigma in (50.0, 100.0)
+                for kind in ("call", "put")
+            ),
+        ],
+    )
+    def test_grid_past_exp_overflow_prices(self, kind, sigma):
         # sigma = 30 puts the default grid's upper bound near 750 > ln(float
         # max).  The put pays nothing up there, so e^y never enters the solve,
-        # and the call is replicated from the put.
-        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
+        # and the call is replicated from the put.  At sigma = 50 and 100 the
+        # grid spans more than +-1,400 around the log forward, past where a
+        # scale e^(-(y - y0)/2) overflows.
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, sigma)
         opt = OptionSpec(kind, 1.0, 1.0)
         assert default_pde_grid(market, opt).x_max > math.log(sys.float_info.max)
         with warnings.catch_warnings():
@@ -623,28 +636,20 @@ class TestPde:
             assert got == pytest.approx(closed_form_price(market, opt).premium, rel=1e-6)
 
     @pytest.mark.parametrize("sigma, half", [(0.2, 2.0), (30.0, 750.0), (0.2, 250.0)])
-    def test_end_values_solve_the_discrete_equation(self, monkeypatch, sigma, half):
-        # 1 and e^y, of which the put's end values K - e^y and 0 are made,
-        # are annihilated by the interior rows of the grid operator, so the
-        # rows next to the ends see values that solve the scheme: on a fine
+    def test_end_values_solve_the_discrete_equation(self, sigma, half):
+        # 1 and e^y, of which the put's end values K - e^y and 0 (and so the
+        # part Phi that the solve subtracts) are made, are annihilated by the
+        # interior stencil, so the end values solve the scheme: on a fine
         # grid, past ln(float max), and with steps h = 5.
-        class Stop(Exception):
-            pass
-
-        def recording(lower, diag, upper, *args):
-            raise Stop(lower, diag, upper)
-
-        monkeypatch.setattr(pricing, "_crank_nicolson", recording)
-        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, sigma)
         grid = FPGridSpec(-half, half, 101, dt_step=0.01)
-        with pytest.raises(Stop) as stop:
-            pde_price(market, OptionSpec("put", 1.0, 1.0), grid)
-        bands = stop.value.args
-        assert all(band[0] == band[-1] == 0.0 for band in bands)
         y = grid.points()
+        stencil = pricing._put_stencil(sigma, float(y[1] - y[0]))
+        bands = [np.full(y.size, c) for c in stencil]
+        for band in bands:
+            band[0] = band[-1] = 0.0
         for f in (np.ones_like(y), np.exp(y - y[-1])):
-            applied = fokker_planck._apply_tridiag(*bands, f)
-            terms = fokker_planck._apply_tridiag(*map(np.abs, bands), f)
+            applied = apply_tridiag(*bands, f)
+            terms = apply_tridiag(*map(np.abs, bands), f)
             # Rows whose three values are normal floats (e^y underflows far down).
             normal = np.flatnonzero(f[:-2] >= np.finfo(float).tiny) + 1
             assert np.all(np.abs(applied[normal]) <= 1e-14 * terms[normal])
@@ -673,18 +678,16 @@ class TestPde:
         floored = abs(got - reference) / max(reference, 0.01 * max(1.0, moneyness))
         assert floored <= 1.5e-4, f"floored PDE error {floored:.3e}"
 
-    def solve_recorded(self, monkeypatch, market, opt, grid):
-        """pde_price's premium and the node values of W, the undiscounted put,
-        that the marcher ends on."""
-        marched = []
-
-        def recording(*args, **kwargs):
-            marched.append(fokker_planck._crank_nicolson(*args, **kwargs))
-            return marched[-1]
-
-        monkeypatch.setattr(pricing, "_crank_nicolson", recording)
+    def solve_all_nodes(self, market, opt, grid):
+        """pde_price's premium, and the node values of W, the undiscounted put,
+        from the solve that pde_price reads, undone on every node."""
         premium = pde_price(market, opt, grid).premium
-        return premium, marched[-1][1]
+        y0 = self.log_forward(market, opt)
+        n_steps = grid.n_steps(opt.expiry)
+        values, _ = pricing._solve_put(
+            market.sigma, opt.strike, grid.points(), y0, opt.expiry, n_steps, slice(None)
+        )
+        return premium, values
 
     @staticmethod
     def premium_from_put(market, opt, w):
@@ -701,30 +704,28 @@ class TestPde:
         return math.log(market.u0) + (market.drift_d - market.drift_f) * opt.expiry
 
     @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_spot_on_a_node_reads_that_node(self, monkeypatch, kind):
+    def test_spot_on_a_node_reads_that_node(self, kind):
         # Equal rates put the log forward on ln u0 = 0.
         market = MarketParams.risk_neutral(1.0, 0.03, 0.03, 0.2)
         opt = OptionSpec(kind, 1.1, 1.0)
         grid = FPGridSpec(-2.0, 2.0, 801, dt_step=1.0 / 400)
         assert grid.points()[400] == self.log_forward(market, opt) == 0.0
-        premium, values = self.solve_recorded(monkeypatch, market, opt, grid)
+        premium, values = self.solve_all_nodes(market, opt, grid)
         assert same_bits(premium, self.premium_from_put(market, opt, values[400]))
 
     @pytest.mark.parametrize("n_points", [3, 4])
-    def test_small_grid_reads_the_interpolant_through_every_node(
-        self, monkeypatch, n_points
-    ):
+    def test_small_grid_reads_the_interpolant_through_every_node(self, n_points):
         # Three nodes give the parabola, four the cubic, through all of them.
         market = self.std().with_spot(math.exp(0.3))
         opt = OptionSpec("call", 1.0, 1.0)
         grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / 400)
-        premium, values = self.solve_recorded(monkeypatch, market, opt, grid)
+        premium, values = self.solve_all_nodes(market, opt, grid)
         coeffs = np.polyfit(grid.points(), values, n_points - 1)
         w = np.polyval(coeffs, self.log_forward(market, opt))
         expected = self.premium_from_put(market, opt, w)
         assert premium == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
-    def test_readout_agrees_with_cubic_spline(self, monkeypatch):
+    def test_readout_agrees_with_cubic_spline(self):
         # The four-node readout against a not-a-knot cubic spline through
         # every node, on the same solved values: the two interpolants differ
         # by far less than the grid's own error.
@@ -733,7 +734,7 @@ class TestPde:
         for row in BATTERY:
             market, option = battery_case(row)
             grid = default_pde_grid(market, option)
-            premium, values = self.solve_recorded(monkeypatch, market, option, grid)
+            premium, values = self.solve_all_nodes(market, option, grid)
             w = float(CubicSpline(grid.points(), values)(self.log_forward(market, option)))
             spline = self.premium_from_put(market, option, w)
             scale = max(spline, 0.01 * market.u0)
