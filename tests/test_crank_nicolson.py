@@ -8,8 +8,17 @@ Crank-Nicolson would ring, then Crank-Nicolson as x' = 2 A^-1 x - x), with
 scipy's ``solve_banded`` on every step (``BandedSolve``), so a wrong
 eigenvalue, a wrong split rule or a wrong boundary treatment shows up.
 The solvers must match them within the stated tolerances.
+
+Each solver is also written out here as its own transforms
+(``transform_evolve``, ``transform_pde``), built on the loops' stencil and
+premium read and sharing only the library's per-mode factor
+``_crank_nicolson_factor``.  The solvers must match those to the bit, so a
+stencil that drifts from the loops' bands, a different padding length, a
+wrong scale or read window, or any extra operation shows up even where it
+moves only the last digits that the CLI prints.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,9 +37,9 @@ from entropic_fx import (
     point_mass_density,
 )
 from entropic_fx.dynamics import log_coordinate
-from entropic_fx.fokker_planck import _LEAK_TOL, _finalize_weights
+from entropic_fx.fokker_planck import _LEAK_TOL, _crank_nicolson_factor, _finalize_weights
 
-from conftest import BandedSolve, operator_diagonals
+from conftest import BandedSolve, operator_diagonals, same_bits
 
 # Agreement with the per-step solve_banded loops.  The transforms and the
 # linear solves differ in rounding, and the loops carry theirs along:
@@ -96,13 +105,7 @@ def reference_pde(params, opt, grid, factor=BandedSolve):
     y0 = log_coordinate(params.u0) + (params.drift_d - params.drift_f) * t
     n_steps = grid.n_steps(t)
     dtau = t / n_steps
-    diffusion = 0.5 * params.sigma * params.sigma
-    # (sigma^2/2)(d_yy - d_y) with couplings in the ratio e^h, so that 1 and
-    # e^y solve it on the grid.
-    tail = math.exp(-h)
-    lower_c = 2.0 * diffusion / (h * h) / (1.0 + tail)
-    upper_c = lower_c * tail
-    diag_c = -(lower_c + upper_c)
+    lower_c, diag_c, upper_c = pde_stencil(params.sigma, h)
     theta = 0.5 * dtau
     lhs_lower = np.full(n - 1, -theta * lower_c)
     lhs_diag = np.full(n, 1.0 - theta * diag_c)
@@ -110,11 +113,6 @@ def reference_pde(params, opt, grid, factor=BandedSolve):
     lhs_lower[-1] = lhs_upper[0] = 0.0
     lhs_diag[0] = lhs_diag[-1] = 1.0
     lhs = factor(lhs_lower, lhs_diag, lhs_upper)
-
-    def apply_interior(v):
-        out = np.zeros_like(v)
-        out[1:-1] = lower_c * v[:-2] + diag_c * v[1:-1] + upper_c * v[2:]
-        return out
 
     values = np.maximum(opt.strike - np.exp(y), 0.0)
     ends = values[[0, -1]]
@@ -128,23 +126,127 @@ def reference_pde(params, opt, grid, factor=BandedSolve):
         # x' = A^-1 (I + dtau/2 L) x = 2 A^-1 x - x.
         new_values = lhs.solve(values, 2.0) - values
         if n_steps > 1:  # a one-step solve reports no defect
-            mid = 0.5 * (values + new_values)
-            defect = (new_values - values) / dtau - apply_interior(mid)
-            scale = 1.0 + float(np.max(np.abs(mid)))
-            residual = float(np.max(np.abs(defect[1:-1]))) / scale
+            residual = last_step_defect(values, new_values, dtau, params.sigma, h)
         values = new_values
     # The end values solve the equation: the march leaves them where they
     # began, up to the solves' rounding.
     assert np.allclose(values[[0, -1]], ends, rtol=0.0, atol=PREMIUM_RTOL * opt.strike)
+    return read_premium(params, opt, y, values), residual
 
-    j = max(0, min(int(np.searchsorted(y, y0)) - 2, n - 4))
+
+def pde_stencil(sigma, h):
+    """The loops' interior stencil (l, d, u) of (sigma^2/2)(d_yy - d_y), with
+    couplings in the ratio e^h, so that 1 and e^y solve it on the grid."""
+    diffusion = 0.5 * sigma * sigma
+    tail = math.exp(-h)
+    lower_c = 2.0 * diffusion / (h * h) / (1.0 + tail)
+    upper_c = lower_c * tail
+    return lower_c, -(lower_c + upper_c), upper_c
+
+
+def last_step_defect(values, new_values, dtau, sigma, h):
+    """The scaled defect of a CN step from ``values`` to ``new_values`` on the
+    interior of the nodes given."""
+    lower_c, diag_c, upper_c = pde_stencil(sigma, h)
+    mid = 0.5 * (values + new_values)
+    defect = (new_values - values)[1:-1] / dtau - (
+        lower_c * mid[:-2] + diag_c * mid[1:-1] + upper_c * mid[2:]
+    )
+    return float(np.max(np.abs(defect))) / (1.0 + float(np.max(np.abs(mid))))
+
+
+def read_node(y, y0):
+    """The first of the four nodes nearest y0 (of all three on three points)."""
+    return max(0, min(int(np.searchsorted(y, y0)) - 2, y.size - 4))
+
+
+def read_premium(params, opt, y, values):
+    """The premium off the Lagrange cubic through the nodes nearest the log
+    forward, discounted; a call by replication."""
+    t = opt.expiry
+    y0 = log_coordinate(params.u0) + (params.drift_d - params.drift_f) * t
+    j = read_node(y, y0)
     near = y[j : j + 4]
     weights = [np.prod((y0 - near[near != yk]) / (yk - near[near != yk])) for yk in near]
     disc_d = math.exp(-params.drift_d * t)
     premium = disc_d * float(np.dot(weights, values[j : j + 4]))
     if opt.kind == "call":
         premium += params.u0 * math.exp(-params.drift_f * t) - opt.strike * disc_d
-    return premium, residual
+    return premium
+
+
+def smooth_length(n):
+    """The smallest length of at least n with no prime factor but 2, 3 and 5."""
+    for m in itertools.count(n):
+        k = m
+        for prime in (2, 3, 5):
+            while k % prime == 0:
+                k //= prime
+        if k == 1:
+            return m
+
+
+def transform_evolve(initial, params, t, spec):
+    """evolve_density's transforms on the loop's own operator: the density
+    zero-padded to a 2,3,5-smooth length of at least 2n, rfft, the library's
+    Crank-Nicolson factor per Fourier mode, irfft, and the first n entries."""
+    n = spec.n_points
+    h = initial.h
+    nu = params.log_drift
+    diffusion = 0.5 * params.sigma * params.sigma
+    n_steps = spec.n_steps(t)
+    lower, diag, upper = operator_diagonals(nu, diffusion, h, n)
+    m = smooth_length(2 * n)
+    # The interior stencil's eigenvalue l e^{-i theta} + d + u e^{i theta},
+    # written without the cancellation of its terms.
+    adv = 0.5 * nu / h
+    dif = diffusion / (h * h)
+    theta = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
+    lam = -4.0 * dif * np.sin(0.5 * theta) ** 2 - 2j * adv * np.sin(theta)
+    factor = _crank_nicolson_factor(lam, (lower[1], diag[1], upper[1]), t / n_steps, n_steps)
+    p = np.fft.irfft(np.fft.rfft(initial.weights, m) * factor, m)[:n]
+    return _finalize_weights(spec.points(), p).weights
+
+
+def transform_pde(params, opt, grid):
+    """pde_price's transforms on the loops' own stencil and read: the end
+    values' part Phi = a + b e^(y - y_max) subtracted, the rest scaled by
+    e^((y0 - y)/2) (exponent clipped to +-700), one DST-I as an rfft of its
+    odd extension, the library's Crank-Nicolson factor per sine mode, the
+    inverse, and the scale undone.  Returns the premium and the last CN
+    step's scaled defect on the interior nodes around the read."""
+    y = grid.points()
+    n = grid.n_points
+    h = float(y[1] - y[0])
+    t = opt.expiry
+    y0 = log_coordinate(params.u0) + (params.drift_d - params.drift_f) * t
+    n_steps = grid.n_steps(t)
+    dtau = t / n_steps
+    stencil = pde_stencil(params.sigma, h)
+    payoff = np.maximum(opt.strike - np.exp(y), 0.0)
+    phi = payoff[0] * np.expm1(y - y[-1]) / math.expm1(y[0] - y[-1])
+    scale = np.exp(np.clip(0.5 * (y0 - y), -700.0, 700.0))
+    z = (payoff - phi) * scale
+    spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
+    # The symmetric stencil's eigenvalue d + 2 sqrt(l u) cos(theta), with
+    # sqrt(l u) = l e^(-h/2), written without the cancellation of its terms.
+    lower_c = stencil[0]
+    theta = (math.pi / (n - 1)) * np.arange(n)
+    lam = -lower_c * math.expm1(-0.5 * h) ** 2 - 4.0 * (
+        lower_c * math.exp(-0.5 * h)
+    ) * np.sin(0.5 * theta) ** 2
+
+    def after(k):
+        factor = _crank_nicolson_factor(lam, stencil, dtau, k)
+        return np.fft.irfft(spectrum * factor, 2 * (n - 1))[:n] / scale + phi
+
+    values = after(n_steps)
+    residual = 0.0
+    if n_steps > 1:  # a one-step solve reports no defect
+        j = read_node(y, y0)
+        rows = slice(max(0, j - 1), j + 5)
+        residual = last_step_defect(after(n_steps - 1)[rows], values[rows], dtau, params.sigma, h)
+    return read_premium(params, opt, y, values), residual
 
 
 MARKET = MarketParams.risk_neutral(1.3, 0.05, 0.02, 0.25)
@@ -193,6 +295,15 @@ PDE_RUNS = [
 
 
 class TestPdePrice:
+    @pytest.mark.parametrize("kind, strike", [("call", 1.1), ("put", 1.6)])
+    @pytest.mark.parametrize("case", sorted(PDE_CASES))
+    def test_bitwise_equal_to_reference_loop(self, case, kind, strike):
+        market, opt, grid = pde_case(case, kind, strike)
+        result = pde_price(market, opt, grid)
+        premium, residual = transform_pde(market, opt, grid)
+        assert same_bits(result.premium, premium)
+        assert same_bits(result.diagnostics["residual"], residual)
+
     @pytest.mark.parametrize("case, kind, strike", PDE_RUNS)
     def test_matches_solve_banded_loop(self, case, kind, strike):
         market, opt, grid = pde_case(case, kind, strike)
@@ -201,6 +312,16 @@ class TestPdePrice:
         assert result.premium == pytest.approx(premium, rel=PREMIUM_RTOL, abs=0.0)
         assert result.diagnostics["residual"] < RESIDUAL_MAX
         assert residual < RESIDUAL_MAX
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("n_points", [3, 4])
+    @pytest.mark.parametrize("n_time_steps", [1, 2, 400])
+    def test_small_grids_bitwise_equal_to_reference_loop(self, n_points, n_time_steps, kind):
+        market, opt, grid = small_grid_pde(n_points, n_time_steps, kind)
+        result = pde_price(market, opt, grid)
+        premium, residual = transform_pde(market, opt, grid)
+        assert same_bits(result.premium, premium)
+        assert same_bits(result.diagnostics["residual"], residual)
 
     def test_one_step_has_no_crank_nicolson_residual(self):
         opt = OptionSpec("call", 1.1, 0.7)
@@ -240,6 +361,11 @@ FP_CASES = {
 
 
 class TestEvolveDensity:
+    @pytest.mark.parametrize("case", sorted(FP_CASES))
+    def test_bitwise_equal_to_reference_loop(self, case):
+        args = FP_CASES[case]()
+        assert same_bits(evolve_density(*args).weights, transform_evolve(*args))
+
     @pytest.mark.parametrize("case", sorted(FP_CASES))
     def test_matches_solve_banded_loop(self, case):
         args = FP_CASES[case]()
