@@ -19,13 +19,8 @@ import sys
 from collections.abc import Iterable
 from typing import Any, Optional
 
-import numpy as np
-
-from . import fokker_planck as fp
-from . import maxent, pricing
-from .dynamics import MarketParams, paths_csv_chunks, simulate_paths
 from .errors import DomainError, NumericalError
-from .grids import MAX_GRID_POINTS, density_csv_chunks, gaussian_density, l1_distance
+from .market import CALL, PUT, MarketParams, OptionSpec, closed_form_price, parity_residual
 
 # Agreement thresholds for `price --method all`: quadrature against the
 # closed form, Monte Carlo within four standard errors, PDE to 1e-3
@@ -64,7 +59,7 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
     "price": {
         **_market(),
         **_OPTION,
-        "kind": (str, _REQUIRED, (pricing.CALL, pricing.PUT)),
+        "kind": (str, _REQUIRED, (CALL, PUT)),
         "method": (
             str, "closed_form", ("closed_form", "quadrature", "monte_carlo", "pde", "all")
         ),
@@ -220,8 +215,8 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _pde_grid_from(settings: dict, horizon: float) -> Optional[fp.FPGridSpec]:
-    """The grid given by x_min/x_max, or None to use the solver's default."""
+def _pde_grid_from(settings: dict, horizon: float):
+    """The FPGridSpec given by x_min/x_max, or None to use the solver's default."""
     x_min, x_max = settings["x_min"], settings["x_max"]
     if (x_min is None) != (x_max is None):
         raise ConfigError("x_min and x_max must be given together")
@@ -229,7 +224,8 @@ def _pde_grid_from(settings: dict, horizon: float) -> Optional[fp.FPGridSpec]:
         return None
     if settings["n_time_steps"] < 1:
         raise DomainError("n_time_steps must be at least 1")
-    return fp.FPGridSpec(
+    from .fokker_planck import FPGridSpec
+    return FPGridSpec(
         x_min=x_min,
         x_max=x_max,
         n_points=settings["n_points"],
@@ -237,9 +233,10 @@ def _pde_grid_from(settings: dict, horizon: float) -> Optional[fp.FPGridSpec]:
     )
 
 
-def _price_one(method: str, settings: dict, market: MarketParams, opt) -> pricing.PriceResult:
+def _price_one(method: str, settings: dict, market: MarketParams, opt: OptionSpec):
     if method == "closed_form":
-        return pricing.closed_form_price(market, opt)
+        return closed_form_price(market, opt)
+    from . import pricing
     if method == "quadrature":
         return pricing.quadrature_price(market, opt, tol=settings["tol"])
     if method == "monte_carlo":
@@ -261,7 +258,7 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt) -> pricin
 
 def cmd_price(settings: dict) -> None:
     market = MarketParams.risk_neutral(*_rates(settings))
-    opt = pricing.OptionSpec(settings["kind"], settings["strike"], settings["expiry"])
+    opt = OptionSpec(settings["kind"], settings["strike"], settings["expiry"])
     if settings["method"] != "all":
         result = _price_one(settings["method"], settings, market, opt)
         _print_json(result.to_json_dict())
@@ -293,6 +290,7 @@ def cmd_parity(settings: dict) -> None:
     if settings["sweep"] > 0:
         if settings["sweep_seed"] < 0:
             raise DomainError("sweep_seed must be a non-negative integer")
+        import numpy as np
         rng = np.random.default_rng(settings["sweep_seed"])
         n_cases = settings["sweep"]
         worst = 0.0
@@ -304,7 +302,7 @@ def cmd_parity(settings: dict) -> None:
             cases = rng.uniform([-0.7, 0.1], [0.7, 5.0], size).tolist()
             for log_moneyness, expiry in cases:
                 strike = market.u0 * math.exp(log_moneyness)
-                residual = abs(pricing.parity_residual(market, strike, expiry))
+                residual = abs(parity_residual(market, strike, expiry))
                 worst = max(worst, residual)
                 if residual > 1e-12 * max(market.u0, strike):
                     violations += 1
@@ -314,7 +312,7 @@ def cmd_parity(settings: dict) -> None:
             )
         _print_json({"max_abs_residual": worst, "n_cases": n_cases})
         return
-    residual = pricing.parity_residual(market, settings["strike"], settings["expiry"])
+    residual = parity_residual(market, settings["strike"], settings["expiry"])
     bound = 1e-12 * max(market.u0, settings["strike"])
     if abs(residual) > bound:
         raise NumericalError(
@@ -324,6 +322,7 @@ def cmd_parity(settings: dict) -> None:
 
 
 def cmd_simulate(settings: dict) -> None:
+    from .dynamics import paths_csv_chunks, simulate_paths
     market = MarketParams(*_rates(settings))
     paths = simulate_paths(
         market,
@@ -337,6 +336,8 @@ def cmd_simulate(settings: dict) -> None:
 
 
 def cmd_fokker_planck(settings: dict) -> None:
+    from . import fokker_planck as fp
+    from .grids import density_csv_chunks, l1_distance
     market = MarketParams(*_rates(settings))
     t = settings["t"]
     if not t > 0.0:
@@ -359,6 +360,9 @@ def cmd_fokker_planck(settings: dict) -> None:
 
 
 def cmd_maxent_check(settings: dict) -> None:
+    import numpy as np
+    from . import maxent
+    from .grids import MAX_GRID_POINTS, gaussian_density
     k, k_prime = settings["k"], settings["k_prime"]
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError("k must be positive and finite")

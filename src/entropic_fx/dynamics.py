@@ -11,16 +11,13 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .grids import _csv_chunks
-
-PHYSICAL = "physical"
-RISK_NEUTRAL = "risk_neutral"
-_MEASURES = (PHYSICAL, RISK_NEUTRAL)
+from .market import PHYSICAL, RISK_NEUTRAL, MarketParams, log_coordinate
 
 # The Monte Carlo kernels draw and transform this many float64 values
 # (512 KiB) per block, in place, so a block's temporaries take one
@@ -28,48 +25,6 @@ _MEASURES = (PHYSICAL, RISK_NEUTRAL)
 # fixes the stream layout: block b is drawn from block_rng(seed, b), so
 # changing it changes every seeded output.
 _CHUNK = 65_536
-
-
-@dataclass(frozen=True)
-class MarketParams:
-    """Spot rate, drift pair, volatility, and the measure they live under.
-
-    Under the physical measure the drifts are the observed domestic/foreign
-    drifts; under the risk-neutral measure they are the risk-free rates
-    r_d, r_f.  Pricing routines require the latter.
-    """
-
-    u0: float
-    drift_d: float
-    drift_f: float
-    sigma: float
-    measure_tag: str = PHYSICAL
-
-    def __post_init__(self):
-        if not (self.u0 > 0.0 and math.isfinite(self.u0)):
-            raise DomainError("u0 must be positive and finite")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise DomainError("sigma must be positive and finite")
-        if not (math.isfinite(self.drift_d) and math.isfinite(self.drift_f)):
-            raise DomainError("drifts must be finite")
-        if not math.isfinite(self.log_drift):
-            raise DomainError("log drift drift_d - drift_f - sigma**2/2 overflows")
-        if self.measure_tag not in _MEASURES:
-            raise DomainError(
-                f"measure_tag must be one of {_MEASURES}, got {self.measure_tag!r}"
-            )
-
-    @classmethod
-    def risk_neutral(cls, u0: float, r_d: float, r_f: float, sigma: float) -> "MarketParams":
-        return cls(u0=u0, drift_d=r_d, drift_f=r_f, sigma=sigma, measure_tag=RISK_NEUTRAL)
-
-    @property
-    def log_drift(self) -> float:
-        """Drift of ln u per unit time: drift_d - drift_f - sigma**2 / 2."""
-        return self.drift_d - self.drift_f - 0.5 * self.sigma * self.sigma
-
-    def with_spot(self, u0: float) -> "MarketParams":
-        return replace(self, u0=u0)
 
 
 @dataclass(frozen=True)
@@ -87,13 +42,6 @@ class TransitionDensity:
             raise DomainError("dt must be positive and finite")
         if not math.isfinite(self.log_mean):
             raise DomainError("log_mean must be finite")
-
-
-def log_coordinate(u: float) -> float:
-    """Scale-invariant coordinate ln(u) of an exchange rate."""
-    if not (u > 0.0 and math.isfinite(u)):
-        raise DomainError("exchange rate must be positive and finite")
-    return math.log(u)
 
 
 def transition_density(params: MarketParams, dt: float) -> TransitionDensity:

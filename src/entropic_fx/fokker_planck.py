@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MarketParams, log_coordinate
 from .errors import DomainError, MassLeak, NumericalError
 from .grids import MAX_GRID_POINTS, DensityGrid, gaussian_density
+from .market import MarketParams, log_coordinate
 
 # Negative output values in [-_CLIP_FLOOR, 0) are clipped to zero; anything
 # more negative means the scheme has genuinely failed.
@@ -148,16 +148,19 @@ def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int):
     two implicit half-steps v' = A^-1 v (Rannacher), which damp it: the
     factor is g^(N-1) / (1 - x)^2 rather than g^N.  g^k is taken as
     e^(2k atanh x), which keeps its accuracy where g rounds to near 1 and k
-    is large.
+    is large.  Where x is -1, g is 0 and atanh x is infinite: g^k is then
+    set to 0 for k >= 1 (1 for k = 0) without evaluating that infinity.
     """
     l, d, u = stencil
     half = 0.5 * dt
     x = half * np.asarray(lam, dtype=complex)
-    if (1.0 - half * d) + half * l + half * u > 2.0:
-        k = n_steps - 1
-        # g^0 is 1, also where atanh x is infinite (g = 0).
-        return (np.exp(2.0 * k * np.arctanh(x)) if k else 1.0) / (1.0 - x) ** 2
-    return np.exp(2.0 * n_steps * np.arctanh(x))
+    split = (1.0 - half * d) + half * l + half * u > 2.0
+    k = n_steps - 1 if split else n_steps
+    power = 1.0
+    if k:
+        zero = x == -1.0
+        power = np.where(zero, 0.0, np.exp(2.0 * k * np.arctanh(np.where(zero, 0.0, x))))
+    return power / (1.0 - x) ** 2 if split else power
 
 
 def _finalize_weights(points: np.ndarray, p: np.ndarray) -> DensityGrid:

@@ -1,0 +1,252 @@
+"""Market inputs, option contracts and the Garman-Kohlhagen closed form.
+
+Everything here needs only ``math``, so a closed-form price or a parity
+check loads no numpy.  ``dynamics`` and ``pricing`` re-export these names.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, replace
+from typing import Optional
+
+from .errors import DomainError, MeasureError, NumericalError
+
+PHYSICAL = "physical"
+RISK_NEUTRAL = "risk_neutral"
+_MEASURES = (PHYSICAL, RISK_NEUTRAL)
+
+CALL = "call"
+PUT = "put"
+_KINDS = (CALL, PUT)
+
+_METHODS = ("closed_form", "quadrature", "monte_carlo", "pde")
+
+
+@dataclass(frozen=True)
+class MarketParams:
+    """Spot rate, drift pair, volatility, and the measure they live under.
+
+    Under the physical measure the drifts are the observed domestic/foreign
+    drifts; under the risk-neutral measure they are the risk-free rates
+    r_d, r_f.  Pricing routines require the latter.
+    """
+
+    u0: float
+    drift_d: float
+    drift_f: float
+    sigma: float
+    measure_tag: str = PHYSICAL
+
+    def __post_init__(self):
+        if not (self.u0 > 0.0 and math.isfinite(self.u0)):
+            raise DomainError("u0 must be positive and finite")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise DomainError("sigma must be positive and finite")
+        if not (math.isfinite(self.drift_d) and math.isfinite(self.drift_f)):
+            raise DomainError("drifts must be finite")
+        if not math.isfinite(self.log_drift):
+            raise DomainError("log drift drift_d - drift_f - sigma**2/2 overflows")
+        if self.measure_tag not in _MEASURES:
+            raise DomainError(
+                f"measure_tag must be one of {_MEASURES}, got {self.measure_tag!r}"
+            )
+
+    @classmethod
+    def risk_neutral(cls, u0: float, r_d: float, r_f: float, sigma: float) -> "MarketParams":
+        return cls(u0=u0, drift_d=r_d, drift_f=r_f, sigma=sigma, measure_tag=RISK_NEUTRAL)
+
+    @property
+    def log_drift(self) -> float:
+        """Drift of ln u per unit time: drift_d - drift_f - sigma**2 / 2."""
+        return self.drift_d - self.drift_f - 0.5 * self.sigma * self.sigma
+
+    def with_spot(self, u0: float) -> "MarketParams":
+        return replace(self, u0=u0)
+
+
+def log_coordinate(u: float) -> float:
+    """Scale-invariant coordinate ln(u) of an exchange rate."""
+    if not (u > 0.0 and math.isfinite(u)):
+        raise DomainError("exchange rate must be positive and finite")
+    return math.log(u)
+
+
+def _check_contract(strike: float, expiry: float) -> None:
+    if not (strike > 0.0 and math.isfinite(strike)):
+        raise DomainError("strike must be positive and finite")
+    if not (expiry > 0.0 and math.isfinite(expiry)):
+        raise DomainError("expiry must be positive and finite")
+
+
+@dataclass(frozen=True)
+class OptionSpec:
+    """European option contract: kind, strike, expiry."""
+
+    kind: str
+    strike: float
+    expiry: float
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _check_contract(self.strike, self.expiry)
+
+    def payoff(self, rate):
+        import numpy as np
+        from .pricing import _payoff_in_place
+        out = _payoff_in_place(self, np.array(rate, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class PriceResult:
+    """Premium plus the method that produced it and its diagnostics."""
+
+    premium: float
+    method: str
+    std_error: Optional[float] = None
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
+        _check_premium(self.premium)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "premium": self.premium,
+            "method": self.method,
+            "std_error": self.std_error,
+            "d1": self.diagnostics.get("d1"),
+            "d2": self.diagnostics.get("d2"),
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "PriceResult":
+        diagnostics = {
+            k: data[k] for k in ("d1", "d2") if data.get(k) is not None
+        }
+        return cls(
+            premium=data["premium"],
+            method=data["method"],
+            std_error=data.get("std_error"),
+            diagnostics=diagnostics,
+        )
+
+
+def _discount(rate: float, t: float) -> float:
+    """Discount factor e^{-rate t}; NumericalError where it overflows a float."""
+    try:
+        return math.exp(-rate * t)
+    except OverflowError:
+        raise NumericalError(
+            f"discount factor exp({-rate * t!r}) overflows a float"
+        ) from None
+
+
+def _check_premium(premium: float) -> None:
+    if not math.isfinite(premium):
+        raise NumericalError("premium must be finite")
+    if premium < -1e-10:
+        raise NumericalError(f"premium {premium:.3e} is negative")
+
+
+def std_normal_cdf(x: float) -> float:
+    """Standard normal CDF via the complementary error function.
+
+    The erfc tail keeps relative accuracy for large negative x (no
+    underflow to zero before x = -37), and evaluating the smaller tail
+    first makes N(x) + N(-x) sum to exactly 1.
+    """
+    t = 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
+    return t if x <= 0.0 else 1.0 - t
+
+
+def _require_risk_neutral(params: MarketParams) -> None:
+    if params.measure_tag != RISK_NEUTRAL:
+        raise MeasureError(
+            "pricing requires risk-neutral drifts; got measure_tag "
+            f"{params.measure_tag!r}"
+        )
+
+
+def _d1_d2(params: MarketParams, strike: float, expiry: float) -> tuple[float, float]:
+    sig_sqrt_t = params.sigma * math.sqrt(expiry)
+    if sig_sqrt_t == 0.0:
+        raise DomainError("sigma * sqrt(expiry) must be positive")
+    num = (
+        math.log(params.u0 / strike)
+        + (params.drift_d - params.drift_f + 0.5 * params.sigma**2) * expiry
+    )
+    d1 = num / sig_sqrt_t
+    return d1, d1 - sig_sqrt_t
+
+
+def d1_d2(params: MarketParams, opt: OptionSpec) -> tuple[float, float]:
+    """Normalized log moneyness pair for the closed-form price.
+
+    d1 carries +sigma^2/2 in the numerator and d2 = d1 - sigma*sqrt(T);
+    N(d2) is then the risk-neutral exercise probability.
+    """
+    return _d1_d2(params, opt.strike, opt.expiry)
+
+
+def _gk_premium(
+    kind: str, spot: float, strike_pv: float, d1: float, d2: float
+) -> float:
+    """s (spot N(s d1) - K' N(s d2)), s = +1 call, -1 put, from the discounted
+    legs spot = u0 e^{-rf T} and K' = K e^{-rd T}."""
+    s = 1.0 if kind == CALL else -1.0
+    spot_leg = spot * std_normal_cdf(s * d1)
+    strike_leg = strike_pv * std_normal_cdf(s * d2)
+    # Subtracting in the sign's order, not multiplying by s, keeps a put
+    # whose legs cancel exactly at +0.0.
+    return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
+
+
+def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResult:
+    _require_risk_neutral(params)
+    if opt.kind != kind:
+        raise DomainError(f"gk_{kind} requires a {kind} option")
+    d1, d2 = d1_d2(params, opt)
+    spot = params.u0 * _discount(params.drift_f, opt.expiry)
+    strike_pv = opt.strike * _discount(params.drift_d, opt.expiry)
+    premium = _gk_premium(kind, spot, strike_pv, d1, d2)
+    return PriceResult(
+        premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
+    )
+
+
+def gk_call(params: MarketParams, opt: OptionSpec) -> PriceResult:
+    """Closed-form call premium u0 e^{-rf T} N(d1) - K e^{-rd T} N(d2)."""
+    return _closed_form(params, opt, CALL)
+
+
+def gk_put(params: MarketParams, opt: OptionSpec) -> PriceResult:
+    """Closed-form put premium K e^{-rd T} N(-d2) - u0 e^{-rf T} N(-d1)."""
+    return _closed_form(params, opt, PUT)
+
+
+def closed_form_price(params: MarketParams, opt: OptionSpec) -> PriceResult:
+    return _closed_form(params, opt, opt.kind)
+
+
+def parity_residual(
+    params: MarketParams, strike: float, expiry: float
+) -> float:
+    """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding.
+
+    C and P are computed separately from one d1/d2 pair, exactly as
+    ``gk_call`` and ``gk_put`` compute them, and checked as premiums are.
+    """
+    _check_contract(strike, expiry)
+    _require_risk_neutral(params)
+    d1, d2 = _d1_d2(params, strike, expiry)
+    spot = params.u0 * _discount(params.drift_f, expiry)
+    strike_pv = strike * _discount(params.drift_d, expiry)
+    call = _gk_premium(CALL, spot, strike_pv, d1, d2)
+    put = _gk_premium(PUT, spot, strike_pv, d1, d2)
+    _check_premium(call)
+    _check_premium(put)
+    return call - put - (spot - strike_pv)

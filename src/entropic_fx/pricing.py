@@ -11,26 +11,18 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import RISK_NEUTRAL, MarketParams, _run_blocks, log_coordinate
-from .errors import (
-    DomainError,
-    GridTooNarrow,
-    MeasureError,
-    NumericalError,
-    ToleranceNotMet,
-)
+from .dynamics import _run_blocks
+from .errors import DomainError, GridTooNarrow, NumericalError, ToleranceNotMet
 from .fokker_planck import FPGridSpec, _crank_nicolson_factor
-
-CALL = "call"
-PUT = "put"
-_KINDS = (CALL, PUT)
-
-_METHODS = ("closed_form", "quadrature", "monte_carlo", "pde")
+from .market import (  # numpy-free; the closed form's names are re-exported here
+    CALL, PUT, RISK_NEUTRAL, MarketParams, OptionSpec, PriceResult, _discount,
+    _require_risk_neutral, closed_form_price, d1_d2, gk_call, gk_put, log_coordinate,
+    parity_residual, std_normal_cdf,
+)
 
 # Quadrature integrates the payoff over this many terminal-log standard
 # deviations around the mean.
@@ -41,190 +33,13 @@ _PDE_STRIKE_SIGMAS = 8.0
 _PDE_EDGE_FRACTION = 0.1
 
 
-def _check_contract(strike: float, expiry: float) -> None:
-    if not (strike > 0.0 and math.isfinite(strike)):
-        raise DomainError("strike must be positive and finite")
-    if not (expiry > 0.0 and math.isfinite(expiry)):
-        raise DomainError("expiry must be positive and finite")
-
-
-@dataclass(frozen=True)
-class OptionSpec:
-    """European option contract: kind, strike, expiry."""
-
-    kind: str
-    strike: float
-    expiry: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        _check_contract(self.strike, self.expiry)
-
-    def payoff(self, rate):
-        out = self._payoff_in_place(np.array(rate, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    def _payoff_in_place(self, rate: np.ndarray) -> np.ndarray:
-        """max(rate - strike, 0) or max(strike - rate, 0), over a float array of rates."""
-        if self.kind == CALL:
-            np.subtract(rate, self.strike, out=rate)
-        else:
-            np.subtract(self.strike, rate, out=rate)
-        return np.maximum(rate, 0.0, out=rate)
-
-
-@dataclass(frozen=True)
-class PriceResult:
-    """Premium plus the method that produced it and its diagnostics."""
-
-    premium: float
-    method: str
-    std_error: Optional[float] = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
-        _check_premium(self.premium)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "premium": self.premium,
-            "method": self.method,
-            "std_error": self.std_error,
-            "d1": self.diagnostics.get("d1"),
-            "d2": self.diagnostics.get("d2"),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PriceResult":
-        diagnostics = {
-            k: data[k] for k in ("d1", "d2") if data.get(k) is not None
-        }
-        return cls(
-            premium=data["premium"],
-            method=data["method"],
-            std_error=data.get("std_error"),
-            diagnostics=diagnostics,
-        )
-
-
-def _discount(rate: float, t: float) -> float:
-    """Discount factor e^{-rate t}; NumericalError where it overflows a float."""
-    try:
-        return math.exp(-rate * t)
-    except OverflowError:
-        raise NumericalError(
-            f"discount factor exp({-rate * t!r}) overflows a float"
-        ) from None
-
-
-def _check_premium(premium: float) -> None:
-    if not math.isfinite(premium):
-        raise NumericalError("premium must be finite")
-    if premium < -1e-10:
-        raise NumericalError(f"premium {premium:.3e} is negative")
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function.
-
-    The erfc tail keeps relative accuracy for large negative x (no
-    underflow to zero before x = -37), and evaluating the smaller tail
-    first makes N(x) + N(-x) sum to exactly 1.
-    """
-    t = 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
-    return t if x <= 0.0 else 1.0 - t
-
-
-def _require_risk_neutral(params: MarketParams) -> None:
-    if params.measure_tag != RISK_NEUTRAL:
-        raise MeasureError(
-            "pricing requires risk-neutral drifts; got measure_tag "
-            f"{params.measure_tag!r}"
-        )
-
-
-def _d1_d2(params: MarketParams, strike: float, expiry: float) -> tuple[float, float]:
-    sig_sqrt_t = params.sigma * math.sqrt(expiry)
-    if sig_sqrt_t == 0.0:
-        raise DomainError("sigma * sqrt(expiry) must be positive")
-    num = (
-        math.log(params.u0 / strike)
-        + (params.drift_d - params.drift_f + 0.5 * params.sigma**2) * expiry
-    )
-    d1 = num / sig_sqrt_t
-    return d1, d1 - sig_sqrt_t
-
-
-def d1_d2(params: MarketParams, opt: OptionSpec) -> tuple[float, float]:
-    """Normalized log moneyness pair for the closed-form price.
-
-    d1 carries +sigma^2/2 in the numerator and d2 = d1 - sigma*sqrt(T);
-    N(d2) is then the risk-neutral exercise probability.
-    """
-    return _d1_d2(params, opt.strike, opt.expiry)
-
-
-def _gk_premium(
-    kind: str, spot: float, strike_pv: float, d1: float, d2: float
-) -> float:
-    """s (spot N(s d1) - K' N(s d2)), s = +1 call, -1 put, from the discounted
-    legs spot = u0 e^{-rf T} and K' = K e^{-rd T}."""
-    s = 1.0 if kind == CALL else -1.0
-    spot_leg = spot * std_normal_cdf(s * d1)
-    strike_leg = strike_pv * std_normal_cdf(s * d2)
-    # Subtracting in the sign's order, not multiplying by s, keeps a put
-    # whose legs cancel exactly at +0.0.
-    return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
-
-
-def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResult:
-    _require_risk_neutral(params)
-    if opt.kind != kind:
-        raise DomainError(f"gk_{kind} requires a {kind} option")
-    d1, d2 = d1_d2(params, opt)
-    spot = params.u0 * _discount(params.drift_f, opt.expiry)
-    strike_pv = opt.strike * _discount(params.drift_d, opt.expiry)
-    premium = _gk_premium(kind, spot, strike_pv, d1, d2)
-    return PriceResult(
-        premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
-    )
-
-
-def gk_call(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    """Closed-form call premium u0 e^{-rf T} N(d1) - K e^{-rd T} N(d2)."""
-    return _closed_form(params, opt, CALL)
-
-
-def gk_put(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    """Closed-form put premium K e^{-rd T} N(-d2) - u0 e^{-rf T} N(-d1)."""
-    return _closed_form(params, opt, PUT)
-
-
-def closed_form_price(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    return _closed_form(params, opt, opt.kind)
-
-
-def parity_residual(
-    params: MarketParams, strike: float, expiry: float
-) -> float:
-    """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding.
-
-    C and P are computed separately from one d1/d2 pair, exactly as
-    ``gk_call`` and ``gk_put`` compute them, and checked as premiums are.
-    """
-    _check_contract(strike, expiry)
-    _require_risk_neutral(params)
-    d1, d2 = _d1_d2(params, strike, expiry)
-    spot = params.u0 * _discount(params.drift_f, expiry)
-    strike_pv = strike * _discount(params.drift_d, expiry)
-    call = _gk_premium(CALL, spot, strike_pv, d1, d2)
-    put = _gk_premium(PUT, spot, strike_pv, d1, d2)
-    _check_premium(call)
-    _check_premium(put)
-    return call - put - (spot - strike_pv)
+def _payoff_in_place(opt: OptionSpec, rate: np.ndarray) -> np.ndarray:
+    """max(rate - strike, 0) or max(strike - rate, 0), over a float array of rates."""
+    if opt.kind == CALL:
+        np.subtract(rate, opt.strike, out=rate)
+    else:
+        np.subtract(opt.strike, rate, out=rate)
+    return np.maximum(rate, 0.0, out=rate)
 
 
 @functools.cache
@@ -362,9 +177,9 @@ def mc_price(
         if antithetic:
             dn = np.subtract(mean, up)
         up += mean
-        opt._payoff_in_place(np.exp(up, out=up))
+        _payoff_in_place(opt, np.exp(up, out=up))
         if antithetic:
-            opt._payoff_in_place(np.exp(dn, out=dn))
+            _payoff_in_place(opt, np.exp(dn, out=dn))
             up += dn
             up *= 0.5
         return _moments(up)

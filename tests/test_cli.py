@@ -20,6 +20,7 @@ from entropic_fx import (
 )
 from entropic_fx import cli, grids, pricing
 from entropic_fx.cli import build_parser, resolve_settings
+from entropic_fx.market import _d1_d2
 
 STD_FLAGS = [
     "--u0", "1.0",
@@ -648,7 +649,7 @@ class TestParityCommand:
         for _ in range(n_cases):
             strike = market.u0 * math.exp(rng.uniform(-0.7, 0.7))
             expiry = rng.uniform(0.1, 5.0)
-            d1, d2 = pricing._d1_d2(market, strike, expiry)
+            d1, d2 = _d1_d2(market, strike, expiry)
             spot = market.u0 * math.exp(-market.drift_f * expiry)
             strike_pv = strike * math.exp(-market.drift_d * expiry)
             call = spot * cdf(d1) - strike_pv * cdf(d2)
@@ -925,7 +926,7 @@ class TestMaxentCheckCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the grid was allocated")
 
-        monkeypatch.setattr(cli.np, "linspace", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
         assert cli.main(["maxent-check", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -933,9 +934,9 @@ class TestMaxentCheckCommand:
 
     def test_grid_limit_counts_points(self, monkeypatch, capsys):
         # The default grid is 2 * 10 * sqrt(0.04) / 1e-3 + 1 = 4001 points.
-        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4000)
+        monkeypatch.setattr(grids, "MAX_GRID_POINTS", 4000)
         assert cli.main(["maxent-check"]) == 2
-        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4001)
+        monkeypatch.setattr(grids, "MAX_GRID_POINTS", 4001)
         assert cli.main(["maxent-check"]) == 0
         assert json.loads(capsys.readouterr().out)["iterations"] > 0
 

@@ -383,3 +383,29 @@ class TestEvolveDensity:
             reference_evolve(*args)
         with pytest.raises(MassLeak):
             evolve_density(*args)
+
+
+class TestCrankNicolsonFactor:
+    # At dt 0.5 the eigenvalue -4 puts x = lam dt/2 at -1 exactly: g = 0, and
+    # atanh x is infinite.  The stencil (1, -2, 1) takes no split; the
+    # stencil (100, -200, 100) splits the first step.
+    LAM = np.array([-4.0, -1.0, -0.5 - 0.25j])
+
+    @pytest.mark.parametrize(
+        "stencil, n_steps, g_zero_mode",
+        [((1.0, -2.0, 1.0), 3, 0.0), ((100.0, -200.0, 100.0), 3, 0.0),
+         ((100.0, -200.0, 100.0), 1, 0.25)],
+        ids=["no_split", "split", "split_one_step"],
+    )
+    def test_g_zero_mode_raises_no_floating_point_error(self, stencil, n_steps, g_zero_mode):
+        with np.errstate(all="raise"):
+            factor = _crank_nicolson_factor(self.LAM, stencil, 0.5, n_steps)
+        # g^k is 0 for k >= 1; two implicit half-steps alone give 1/(1 - x)^2.
+        assert factor[0] == g_zero_mode
+        # Every other mode keeps the bits of e^(2k atanh x).
+        x = 0.25 * self.LAM[1:].astype(complex)
+        split = stencil[0] == 100.0
+        k = n_steps - 1 if split else n_steps
+        power = np.exp(2.0 * k * np.arctanh(x)) if k else 1.0
+        expected = power / (1.0 - x) ** 2 if split else power
+        assert same_bits(factor[1:].view(np.float64), expected.view(np.float64))

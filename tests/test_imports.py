@@ -1,13 +1,15 @@
-"""No import or CLI subcommand loads scipy, and only the grid solvers load
-numpy.fft.
+"""No import or CLI subcommand loads scipy, only the grid solvers load
+numpy.fft, and the package import, the closed-form price and a single parity
+case load no numpy at all.
 
 scipy is not a runtime dependency: the grid solvers' transforms are numpy's
 (numpy.fft), and quadrature is a numpy Gauss-Legendre rule.  Tests still use
 scipy as a reference.  Each check runs in a fresh interpreter, because this
-test process may already hold scipy.
+test process already holds numpy and may hold scipy.
 """
 
 import ast
+import functools
 import json
 import subprocess
 import sys
@@ -15,11 +17,16 @@ from pathlib import Path
 
 import pytest
 
-_REPORT = (
-    'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))'
-)
+
+
+def loaded(package: str) -> str:
+    """Code that prints the loaded modules of ``package`` as a JSON list."""
+    return f'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == {package!r})))'
+
+
+_REPORT = loaded("scipy")
 # Imports the module named by argv[1].
-_IMPORT = "import importlib, json, sys\nimportlib.import_module(sys.argv[1])\n" + _REPORT
+_IMPORT = "import importlib, json, sys\nimportlib.import_module(sys.argv[1])\n"
 # Runs the CLI command given by argv[1:] in-process, stdout discarded.
 _RUN = """
 import contextlib, io, json, sys
@@ -61,7 +68,7 @@ def test_source_imports_no_scipy():
 
 @pytest.mark.parametrize("module", ["entropic_fx", "entropic_fx.cli"])
 def test_import_loads_no_scipy(module):
-    assert report(_IMPORT, module) == []
+    assert report(_IMPORT + _REPORT, module) == []
 
 
 @pytest.mark.parametrize(
@@ -94,13 +101,12 @@ def test_scipy_free_commands(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["price", *MARKET, *OPTION, "--kind", "call"],
         [
             "simulate", *MARKET, "--horizon", "1.0", "--n-steps", "5",
             "--n-paths", "4", "--seed", "1",
         ],
     ],
-    ids=["price", "simulate"],
+    ids=["simulate"],
 )
 def test_commands_without_a_grid_load_no_fft(argv):
     # numpy.fft adds ~0.25 MB; the grid solvers reach it as np.fft when they
@@ -117,3 +123,78 @@ def test_cli_import_loads_no_thread_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
     )
     assert proc.stdout.split() == ["False"]
+
+
+# The commands that need only math: closed-form price and one parity case.
+MATH_ONLY = {
+    "price": ["price", *MARKET, *OPTION, "--kind", "call"],
+    "price_put": ["price", *MARKET, *OPTION, "--kind", "put", "--method", "closed_form"],
+    "parity": ["parity", *MARKET, *OPTION],
+}
+
+
+@pytest.mark.parametrize("module", ["entropic_fx", "entropic_fx.cli"])
+def test_import_loads_no_numpy(module):
+    assert report(_IMPORT + loaded("numpy"), module) == []
+
+
+@pytest.mark.parametrize("argv", MATH_ONLY.values(), ids=MATH_ONLY)
+def test_math_only_commands_load_no_numpy(argv):
+    assert report(_RUN + loaded("numpy"), *argv) == []
+
+
+@pytest.mark.parametrize("argv", MATH_ONLY.values(), ids=MATH_ONLY)
+def test_math_only_commands_run_with_numpy_blocked(argv):
+    # A None entry in sys.modules makes every import of numpy fail.
+    code = "import sys\nsys.modules['numpy'] = None\nfrom entropic_fx import cli\nsys.exit(cli.main())"
+    run = functools.partial(subprocess.run, capture_output=True, timeout=120)
+    blocked = run([sys.executable, "-c", code, *argv])
+    normal = run([sys.executable, "-m", "entropic_fx", *argv])
+    assert (blocked.returncode, blocked.stderr) == (normal.returncode, normal.stderr) == (0, b"")
+    assert blocked.stdout == normal.stdout
+    assert json.loads(blocked.stdout)
+
+
+# Every name that ``entropic_fx`` exported when it imported all its modules
+# up front.  A name resolves to the object of the module that defines it,
+# and to the same object where dynamics or pricing re-export it.
+PACKAGE_NAMES = [
+    "ConstraintSpec", "DensityGrid", "DomainError", "FPGridSpec", "FirstMoment",
+    "GridMismatch", "GridTooNarrow", "InfeasibleConstraints", "MarketParams", "MassLeak",
+    "MeasureError", "MultiplierSolution", "NoConvergence", "NumericalError", "OptionSpec",
+    "PHYSICAL", "PathSet", "PriceResult", "RISK_NEUTRAL", "SecondCentralMoment",
+    "SupportViolation", "TabulatedMoment", "ToleranceNotMet", "TransitionDensity",
+    "alpha_from_entropic_time", "analytic_density", "beta_multiplier", "block_rng",
+    "closed_form_price", "d1_d2", "default_grid", "default_pde_grid", "density_from_csv",
+    "density_to_csv", "dynamics", "errors", "evolve_density", "fokker_planck",
+    "gaussian_density", "gk_call", "gk_put", "grids", "l1_distance", "log_coordinate",
+    "maxent", "mc_price", "parity_residual", "paths_to_csv", "pde_price",
+    "point_mass_density", "pricing", "quadrature_price", "relative_entropy",
+    "require_same_grid", "same_grid", "simulate_paths", "solve_maxent", "std_normal_cdf",
+    "transition_density", "transition_pdf", "uniform_density", "variance_from_alpha",
+]
+_RESOLVE = """
+import json, sys, types
+import entropic_fx
+from entropic_fx import dynamics, market, pricing
+star = {}
+exec("from entropic_fx import *", star)
+wrong = sorted(set(sys.argv[1:]) ^ {k for k in star if not k.startswith("_")})
+for name in sys.argv[1:]:
+    value = getattr(entropic_fx, name)
+    if isinstance(value, types.ModuleType):
+        home = value.__name__ == "entropic_fx." + name
+    elif isinstance(value, str):
+        home = value is getattr(market, name)
+    else:
+        home = value is getattr(sys.modules[value.__module__], name)
+    same = all(getattr(m, name, value) is value for m in (dynamics, pricing))
+    if not (home and same and star[name] is value):
+        wrong.append(name)
+print(json.dumps(wrong))
+"""
+
+
+def test_package_names_resolve():
+    assert len(PACKAGE_NAMES) == 62
+    assert report(_RESOLVE, *PACKAGE_NAMES) == []
