@@ -158,8 +158,9 @@ def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int):
     k = n_steps - 1 if split else n_steps
     power = 1.0
     if k:
-        zero = x == -1.0
-        power = np.where(zero, 0.0, np.exp(2.0 * k * np.arctanh(np.where(zero, 0.0, x))))
+        g_zero = x == -1.0
+        power = np.exp(2.0 * k * np.arctanh(x, out=np.zeros_like(x), where=~g_zero))
+        power[g_zero] = 0.0
     return power / (1.0 - x) ** 2 if split else power
 
 

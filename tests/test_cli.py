@@ -855,6 +855,19 @@ class TestFokkerPlanckCommand:
         assert diag["mass"] == pytest.approx(1.0, abs=1e-6)
         assert diag["l1_distance_to_analytic"] < 0.2
 
+    def test_mode_removed_in_one_step_warns_nothing(self):
+        # Zero log drift (rd - rf = sigma^2/2), h = 0.5 and dt = 0.25 put
+        # x = lam dt/2 at -1 exactly for the top mode of the 2048-long
+        # padding, where g = 0.  Its factor is 0 without a numpy warning, so
+        # stderr holds only the diagnostic.
+        proc = run_cli(
+            "fokker-planck", "--u0", "1", "--rd", "0.5", "--rf", "0", "--sigma", "1",
+            "--x-min", "-255.75", "--x-max", "255.75", "--n-points", "1024",
+            "--n-time-steps", "4", check=True,
+        )
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["mass"] == pytest.approx(1.0, abs=1e-6)
+
 
 class TestGridLimits:
     @pytest.mark.parametrize(
