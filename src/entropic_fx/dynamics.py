@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import _csv_chunks
-from .market import PHYSICAL, RISK_NEUTRAL, MarketParams, log_coordinate
+from .market import PHYSICAL, RISK_NEUTRAL, MarketParams, log_coordinate  # re-exported
 
 # The Monte Carlo kernels draw and transform this many float64 values
 # (512 KiB) per block, in place, so a block's temporaries take one

@@ -148,8 +148,7 @@ def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int):
     two implicit half-steps v' = A^-1 v (Rannacher), which damp it: the
     factor is g^(N-1) / (1 - x)^2 rather than g^N.  g^k is taken as
     e^(2k atanh x), which keeps its accuracy where g rounds to near 1 and k
-    is large.  Where x is -1, g is 0 and atanh x is infinite: g^k is then
-    set to 0 for k >= 1 (1 for k = 0) without evaluating that infinity.
+    is large; where x = -1, g is 0 and the infinite atanh x is not taken.
     """
     l, d, u = stencil
     half = 0.5 * dt

@@ -146,7 +146,10 @@ def test_math_only_commands_load_no_numpy(argv):
 @pytest.mark.parametrize("argv", MATH_ONLY.values(), ids=MATH_ONLY)
 def test_math_only_commands_run_with_numpy_blocked(argv):
     # A None entry in sys.modules makes every import of numpy fail.
-    code = "import sys\nsys.modules['numpy'] = None\nfrom entropic_fx import cli\nsys.exit(cli.main())"
+    code = (
+        "import sys\nsys.modules['numpy'] = None\n"
+        "from entropic_fx import cli\nsys.exit(cli.main())"
+    )
     run = functools.partial(subprocess.run, capture_output=True, timeout=120)
     blocked = run([sys.executable, "-c", code, *argv])
     normal = run([sys.executable, "-m", "entropic_fx", *argv])
