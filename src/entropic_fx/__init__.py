@@ -17,8 +17,7 @@ _SOURCES = {
     ),
     "market": (
         "PHYSICAL", "RISK_NEUTRAL", "MarketParams", "OptionSpec", "PriceResult",
-        "closed_form_price", "d1_d2", "gk_call", "gk_put", "log_coordinate",
-        "parity_residual", "std_normal_cdf",
+        "closed_form_price", "log_coordinate", "parity_residual", "std_normal_cdf",
     ),
     "dynamics": (
         "dynamics", "PathSet", "TransitionDensity", "block_rng", "paths_to_csv",
@@ -29,13 +28,13 @@ _SOURCES = {
         "evolve_density", "point_mass_density",
     ),
     "grids": (
-        "grids", "DensityGrid", "density_from_csv", "density_to_csv", "gaussian_density",
-        "l1_distance", "require_same_grid", "same_grid", "uniform_density",
+        "grids", "DensityGrid", "density_to_csv", "gaussian_density", "l1_distance",
+        "require_same_grid", "same_grid", "uniform_density",
     ),
     "maxent": (
         "maxent", "ConstraintSpec", "FirstMoment", "MultiplierSolution",
-        "SecondCentralMoment", "TabulatedMoment", "alpha_from_entropic_time",
-        "beta_multiplier", "relative_entropy", "solve_maxent", "variance_from_alpha",
+        "SecondCentralMoment", "alpha_from_entropic_time", "beta_multiplier",
+        "relative_entropy", "solve_maxent",
     ),
     "pricing": ("pricing", "default_pde_grid", "mc_price", "pde_price", "quadrature_price"),
 }

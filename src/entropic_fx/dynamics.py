@@ -96,9 +96,6 @@ class PathSet:
     def terminal_log(self) -> np.ndarray:
         return self.log_paths[:, -1]
 
-    def rates(self) -> np.ndarray:
-        return np.exp(self.log_paths)
-
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """Independent stream for one block, derived from (seed, block)."""

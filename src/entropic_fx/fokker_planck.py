@@ -158,9 +158,12 @@ def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int):
     power = 1.0
     if k:
         g_zero = x == -1.0
-        power = np.exp(2.0 * k * np.arctanh(x, out=np.zeros_like(x), where=~g_zero))
+        power = np.arctanh(x, out=np.zeros_like(x), where=~g_zero)
+        np.exp(np.multiply(2.0 * k, power, out=power), out=power)
         power[g_zero] = 0.0
-    return power / (1.0 - x) ** 2 if split else power
+    if split:  # (1 - x)^2 in x's memory: two arrays of modes at most
+        power = np.divide(power, np.square(np.subtract(1.0, x, out=x), out=x), out=x)
+    return power
 
 
 def _finalize_weights(points: np.ndarray, p: np.ndarray) -> DensityGrid:
@@ -213,17 +216,18 @@ def evolve_density(
     adv = 0.5 * nu / h
     dif = 0.5 * params.sigma * params.sigma / (h * h)
     stencil = (adv + dif, -2.0 * dif, -adv + dif)
-    # l e^{-i theta} + d + u e^{i theta}, without the cancellation of its terms.
     m = _fft_length(2 * n)
+    spectrum = np.fft.rfft(initial.weights, m)
+    # l e^{-i theta} + d + u e^{i theta}, without the cancellation of its terms.
     theta = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
     lam = -4.0 * dif * np.sin(0.5 * theta) ** 2 - 2j * adv * np.sin(theta)
+    del theta
     # The leak is judged on the exact-in-time flow e^(lam t), since it asks
     # whether the grid is wide enough for the horizon: a run of a few long
     # steps starts with implicit half-steps, whose exponential tails reach
     # past a grid that the density does not (2.3e-8 of the mass on the
-    # default grid at one step).  One transform at a time keeps peak memory
-    # down.
-    spectrum = np.fft.rfft(initial.weights, m)
+    # default grid at one step).  One transform at a time, and each array
+    # freed once used, keep peak memory down.
     flow = np.fft.irfft(spectrum * np.exp(lam * t), m)
     if float(np.sum(np.abs(flow[n:]))) > _LEAK_TOL * float(np.sum(initial.weights)):
         raise MassLeak(

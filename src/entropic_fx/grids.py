@@ -179,11 +179,6 @@ def _csv_chunks(header: str, *columns: np.ndarray) -> Iterator[str]:
             yield _csv_chunk(values[start : start + _CSV_CHUNK], start, n_cols)
 
 
-def _csv_rows(header: str, *columns: np.ndarray) -> str:
-    """The whole text of _csv_chunks."""
-    return "".join(_csv_chunks(header, *columns))
-
-
 def _csv_chunk(x: np.ndarray, start: int, n_cols: int) -> str:
     """The CSV text of values start, start + 1, ... of a block of whole rows.
 
@@ -242,15 +237,3 @@ def density_csv_chunks(grid: DensityGrid) -> Iterator[str]:
 def density_to_csv(grid: DensityGrid) -> str:
     """Serialize as ``x,p`` rows with 17 significant digits."""
     return "".join(density_csv_chunks(grid))
-
-
-def density_from_csv(text: str) -> DensityGrid:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != "x,p":
-        raise DomainError("density CSV must start with header 'x,p'")
-    xs, ps = [], []
-    for ln in lines[1:]:
-        sx, sp = ln.split(",")
-        xs.append(float(sx))
-        ps.append(float(sp))
-    return DensityGrid(np.array(xs), np.array(ps))

@@ -92,12 +92,6 @@ class OptionSpec:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         _check_contract(self.strike, self.expiry)
 
-    def payoff(self, rate):
-        import numpy as np
-        from .pricing import _payoff_in_place
-        out = _payoff_in_place(self, np.array(rate, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class PriceResult:
@@ -121,18 +115,6 @@ class PriceResult:
             "d1": self.diagnostics.get("d1"),
             "d2": self.diagnostics.get("d2"),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PriceResult":
-        diagnostics = {
-            k: data[k] for k in ("d1", "d2") if data.get(k) is not None
-        }
-        return cls(
-            premium=data["premium"],
-            method=data["method"],
-            std_error=data.get("std_error"),
-            diagnostics=diagnostics,
-        )
 
 
 def _discount(rate: float, t: float) -> float:
@@ -183,15 +165,6 @@ def _d1_d2(params: MarketParams, strike: float, expiry: float) -> tuple[float, f
     return d1, d1 - sig_sqrt_t
 
 
-def d1_d2(params: MarketParams, opt: OptionSpec) -> tuple[float, float]:
-    """Normalized log moneyness pair for the closed-form price.
-
-    d1 carries +sigma^2/2 in the numerator and d2 = d1 - sigma*sqrt(T);
-    N(d2) is then the risk-neutral exercise probability.
-    """
-    return _d1_d2(params, opt.strike, opt.expiry)
-
-
 def _gk_premium(
     kind: str, spot: float, strike_pv: float, d1: float, d2: float
 ) -> float:
@@ -205,31 +178,18 @@ def _gk_premium(
     return spot_leg - strike_leg if kind == CALL else strike_leg - spot_leg
 
 
-def _closed_form(params: MarketParams, opt: OptionSpec, kind: str) -> PriceResult:
+def closed_form_price(params: MarketParams, opt: OptionSpec) -> PriceResult:
+    """Garman-Kohlhagen premium; d1 (with +sigma^2/2) and d2 = d1 - sigma*sqrt(T)
+    as diagnostics.  Call: u0 e^{-rf T} N(d1) - K e^{-rd T} N(d2); put:
+    K e^{-rd T} N(-d2) - u0 e^{-rf T} N(-d1)."""
     _require_risk_neutral(params)
-    if opt.kind != kind:
-        raise DomainError(f"gk_{kind} requires a {kind} option")
-    d1, d2 = d1_d2(params, opt)
+    d1, d2 = _d1_d2(params, opt.strike, opt.expiry)
     spot = params.u0 * _discount(params.drift_f, opt.expiry)
     strike_pv = opt.strike * _discount(params.drift_d, opt.expiry)
-    premium = _gk_premium(kind, spot, strike_pv, d1, d2)
+    premium = _gk_premium(opt.kind, spot, strike_pv, d1, d2)
     return PriceResult(
         premium=premium, method="closed_form", diagnostics={"d1": d1, "d2": d2}
     )
-
-
-def gk_call(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    """Closed-form call premium u0 e^{-rf T} N(d1) - K e^{-rd T} N(d2)."""
-    return _closed_form(params, opt, CALL)
-
-
-def gk_put(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    """Closed-form put premium K e^{-rd T} N(-d2) - u0 e^{-rf T} N(-d1)."""
-    return _closed_form(params, opt, PUT)
-
-
-def closed_form_price(params: MarketParams, opt: OptionSpec) -> PriceResult:
-    return _closed_form(params, opt, opt.kind)
 
 
 def parity_residual(
@@ -238,7 +198,7 @@ def parity_residual(
     """C - P - (u0 e^{-rf T} - K e^{-rd T}); zero up to rounding.
 
     C and P are computed separately from one d1/d2 pair, exactly as
-    ``gk_call`` and ``gk_put`` compute them, and checked as premiums are.
+    ``closed_form_price`` computes them, and checked as premiums are.
     """
     _check_contract(strike, expiry)
     _require_risk_neutral(params)

@@ -13,7 +13,6 @@ Expectations use the trapezoidal rule throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -48,22 +47,6 @@ class SecondCentralMoment:
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         return (points - self.center) ** 2
-
-
-@dataclass(frozen=True)
-class TabulatedMoment:
-    """Constraint feature given by its values on the grid."""
-
-    values: tuple
-
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != points.shape:
-            raise DomainError("tabulated feature does not match the grid")
-        return vals
-
-
-MomentFn = Union[FirstMoment, SecondCentralMoment, TabulatedMoment]
 
 
 @dataclass(frozen=True)
@@ -129,13 +112,6 @@ def alpha_from_entropic_time(sigma: float, dt: float) -> float:
     if not (dt > 0.0 and np.isfinite(dt)):
         raise DomainError("dt must be positive and finite")
     return 1.0 / (sigma * sigma * dt)
-
-
-def variance_from_alpha(alpha: float) -> float:
-    """Inverse of :func:`alpha_from_entropic_time`: k = 1 / alpha."""
-    if not (alpha > 0.0 and np.isfinite(alpha)):
-        raise DomainError("alpha must be positive and finite")
-    return 1.0 / alpha
 
 
 def beta_multiplier(mu_d: float, mu_f: float, sigma: float) -> float:

@@ -20,8 +20,8 @@ from .errors import DomainError, GridTooNarrow, NumericalError, ToleranceNotMet
 from .fokker_planck import FPGridSpec, _crank_nicolson_factor
 from .market import (  # numpy-free; the closed form's names are re-exported here
     CALL, PUT, RISK_NEUTRAL, MarketParams, OptionSpec, PriceResult, _discount,
-    _require_risk_neutral, closed_form_price, d1_d2, gk_call, gk_put, log_coordinate,
-    parity_residual, std_normal_cdf,
+    _require_risk_neutral, closed_form_price, log_coordinate, parity_residual,
+    std_normal_cdf,
 )
 
 # Quadrature integrates the payoff over this many terminal-log standard
@@ -92,7 +92,7 @@ def quadrature_price(
         z = lo + width * (np.arange(n_panels)[:, None] + nodes)
         rate = np.exp(mean + sd * z)
         density = np.exp(-0.5 * z * z) * (width / math.sqrt(2.0 * math.pi))
-        f = (opt.payoff(rate) * density).sum(axis=0)
+        f = (_payoff_in_place(opt, rate.copy()) * density).sum(axis=0)
         value, low = float(f[w_lo.size :] @ w_hi), float(f[: w_lo.size] @ w_lo)
         # The gap between rules, floored at QUADPACK's 50 eps rounding
         # allowance on the integral of e^y + K (the terms the payoff
@@ -277,19 +277,22 @@ def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
     phi = payoff[0] * np.expm1(y - y[-1]) / math.expm1(y[0] - y[-1])
     scale = np.exp(np.clip(0.5 * (y0 - y), -700.0, 700.0))
     z = (payoff - phi) * scale
+    spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
+    del payoff, z  # of the arrays in y's shape, only the rows read are kept
+    scale, phi = scale[rows].copy(), phi[rows].copy()
     # sqrt(l u) = l e^(-h/2); the eigenvalues d + 2 sqrt(l u) cos(theta),
     # without the cancellation of their terms.
     theta = (math.pi / (n - 1)) * np.arange(n)
     couple = lower * math.exp(-0.5 * h)
     lam = -lower * math.expm1(-0.5 * h) ** 2 - 4.0 * couple * np.sin(0.5 * theta) ** 2
+    del theta
     dtau = t / n_steps
     steps = (n_steps - 1, n_steps) if n_steps > 1 else (n_steps,)
-    spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
     # One inverse transform at a time keeps peak memory down.
     w = np.array([
         np.fft.irfft(spectrum * _crank_nicolson_factor(lam, stencil, dtau, k), 2 * (n - 1))[:n][rows]
         for k in steps
-    ]) / scale[rows] + phi[rows]
+    ]) / scale + phi
     if not np.isfinite(w).all():
         raise NumericalError("PDE values overflow on this grid")
     if n_steps == 1:

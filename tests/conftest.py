@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from entropic_fx import MarketParams, OptionSpec
+from entropic_fx import DensityGrid, MarketParams, OptionSpec
 
 # Fixed pricing battery: (kind, strike, sigma, expiry, r_d, r_f) with spot
 # 1.0 throughout.  Spans moneyness 0.5 to 2, sigma 0.05 to 0.6, expiry 0.1
@@ -57,6 +59,14 @@ def same_bits(a, b) -> bool:
     """Equal to the bit, as float64 arrays or scalars: 0.0 and -0.0 differ."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def read_density_csv(text: str) -> DensityGrid:
+    """The density an ``x,p`` CSV holds; "%.17g" values read back exactly."""
+    header, _, body = text.partition("\n")
+    assert header == "x,p"
+    table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    return DensityGrid(table[:, 0], table[:, 1])
 
 
 def operator_diagonals(nu: float, diffusion: float, h: float, n: int):

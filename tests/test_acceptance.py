@@ -380,10 +380,8 @@ def test_criterion_9_cli_end_to_end():
     emitted = run_cli(*price_args)
     data = json.loads(emitted.stdout)
     assert json.loads(json.dumps(data)) == data
-    from entropic_fx import PriceResult
-
-    back = PriceResult.from_json_dict(data)
-    assert back.to_json_dict() == data
+    market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
+    assert data == closed_form_price(market, OptionSpec("call", 1.0, 1.0)).to_json_dict()
 
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"criterion 9 took {elapsed:.2f}s"

@@ -12,15 +12,15 @@ from entropic_fx import (
     MarketParams,
     OptionSpec,
     PathSet,
-    PriceResult,
     closed_form_price,
-    density_from_csv,
     density_to_csv,
     paths_to_csv,
 )
 from entropic_fx import cli, grids, pricing
 from entropic_fx.cli import build_parser, resolve_settings
 from entropic_fx.market import _d1_d2
+
+from conftest import read_density_csv
 
 STD_FLAGS = [
     "--u0", "1.0",
@@ -64,12 +64,12 @@ class TestPriceCommand:
 
     def test_output_parses_back_into_price_result(self):
         proc = run_cli("price", *STD_FLAGS, check=True)
-        result = PriceResult.from_json_dict(json.loads(proc.stdout))
-        assert abs(result.premium - STD_CALL) < 1e-12
+        data = json.loads(proc.stdout)
+        assert abs(data["premium"] - STD_CALL) < 1e-12
         # repr-style floats survive the trip without losing a bit.
-        assert json.loads(json.dumps(result.to_json_dict())) == json.loads(
-            proc.stdout
-        )
+        market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
+        option = OptionSpec("call", 1.0, 1.0)
+        assert data == closed_form_price(market, option).to_json_dict()
 
     def test_quadrature_method(self):
         proc = run_cli("price", *STD_FLAGS, "--method", "quadrature", check=True)
@@ -755,7 +755,7 @@ class TestFokkerPlanckCommand:
             "fokker-planck", "--n-points", "501", "--n-time-steps", "200",
             check=True,
         )
-        density = density_from_csv(proc.stdout)
+        density = read_density_csv(proc.stdout)
         assert density.n == 501
         assert density.mass() == pytest.approx(1.0, abs=1e-6)
         diag = json.loads(proc.stderr)
@@ -792,7 +792,7 @@ class TestFokkerPlanckCommand:
             "--output", str(target),
             check=True,
         )
-        density = density_from_csv(target.read_text())
+        density = read_density_csv(target.read_text())
         assert density.n == 251
 
     def test_file_is_the_per_row_f_string_text(self, tmp_path):
@@ -805,7 +805,7 @@ class TestFokkerPlanckCommand:
             "--output", str(target), check=True,
         )
         text = target.read_text()
-        density = density_from_csv(text)
+        density = read_density_csv(text)
         rows = [f"{x:.17g},{p:.17g}\n" for x, p in zip(density.points, density.weights)]
         assert text == "x,p\n" + "".join(rows)
 
@@ -822,7 +822,7 @@ class TestFokkerPlanckCommand:
         # A billion time steps are one multiplier per mode, as 1,000 are.
         default = run_cli("fokker-planck", check=True)
         many = run_cli("fokker-planck", "--n-time-steps", "1000000000", check=True)
-        a, b = density_from_csv(default.stdout), density_from_csv(many.stdout)
+        a, b = read_density_csv(default.stdout), read_density_csv(many.stdout)
         assert float(np.sum(np.abs(a.weights - b.weights))) * a.h < 1e-4
         l1 = [json.loads(proc.stderr)["l1_distance_to_analytic"] for proc in (default, many)]
         assert l1[1] == pytest.approx(l1[0], abs=1e-4)
@@ -849,7 +849,7 @@ class TestFokkerPlanckCommand:
         # A handful of long steps, where plain Crank-Nicolson rings on the
         # narrow start, still gives a non-negative density of unit mass.
         proc = run_cli("fokker-planck", "--n-time-steps", n_time_steps, check=True)
-        density = density_from_csv(proc.stdout)
+        density = read_density_csv(proc.stdout)
         assert np.all(density.weights >= 0.0)
         diag = json.loads(proc.stderr)
         assert diag["mass"] == pytest.approx(1.0, abs=1e-6)
@@ -1006,7 +1006,7 @@ class TestStreamedCsv:
         """The text paths_to_csv or density_to_csv gives for the table a CSV
         holds; 17 significant digits read back exactly."""
         if command == "fokker-planck":
-            return density_to_csv(density_from_csv(text))
+            return density_to_csv(read_density_csv(text))
         header, *rows = text.splitlines()
         table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
         n_paths, n_steps = table.shape[1] - 1, table.shape[0] - 1

@@ -1,6 +1,6 @@
-"""The CSV number writer, grids._csv_rows, against Python's "%.17g".
+"""The CSV number writer, grids._csv_chunks, against Python's "%.17g".
 
-_csv_rows formats 1e-4 <= |x| < 1e16 with numpy and hands every other
+_csv_chunks formats 1e-4 <= |x| < 1e16 with numpy and hands every other
 value to "%.17g"; each test here compares whole rows of text with the
 per-value "%.17g" writer, byte for byte.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from entropic_fx import MarketParams, density_to_csv
 from entropic_fx import fokker_planck as fp
-from entropic_fx.grids import DensityGrid, _csv_rows
+from entropic_fx.grids import DensityGrid, _csv_chunks
 
 
 def per_value_rows(table) -> str:
@@ -26,7 +26,7 @@ def per_value_rows(table) -> str:
 
 def assert_same_text(values, n_cols=1):
     table = np.asarray(values, dtype=float).reshape(-1, n_cols)
-    text, expected = _csv_rows("", table), per_value_rows(table)
+    text, expected = "".join(_csv_chunks("", table)), per_value_rows(table)
     if text != expected:
         # Name the first row that differs; a diff of the whole text is slow.
         rows = zip(text.splitlines(), expected.splitlines(), table.tolist())
@@ -103,12 +103,13 @@ def test_exact_ties_round_half_even():
     )
     differ = sum(half_even.plus(Decimal(x)) != half_up.plus(Decimal(x)) for x in ties)
     assert differ > len(ties) // 4
-    assert _csv_rows("", np.array([[123456789012345.625]])) == "123456789012345.62\n"
+    assert "".join(_csv_chunks("", np.array([[123456789012345.625]]))) == "123456789012345.62\n"
 
 
 def test_row_layout():
     table = np.array([[0.5, -1.25, 0.0], [1e-5, 3.0, -0.0]])
-    assert _csv_rows("h\n", table) == "h\n0.5,-1.25,0\n1.0000000000000001e-05,3,-0\n"
+    text = "".join(_csv_chunks("h\n", table))
+    assert text == "h\n0.5,-1.25,0\n1.0000000000000001e-05,3,-0\n"
 
 
 def test_tables_are_built_on_first_use():

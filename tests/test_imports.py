@@ -158,23 +158,28 @@ def test_math_only_commands_run_with_numpy_blocked(argv):
     assert json.loads(blocked.stdout)
 
 
-# Every name that ``entropic_fx`` exported when it imported all its modules
-# up front.  A name resolves to the object of the module that defines it,
-# and to the same object where dynamics or pricing re-export it.
+# Every name that ``entropic_fx`` exports.  A name resolves to the object of
+# the module that defines it, and to the same object where dynamics or
+# pricing re-export it.
 PACKAGE_NAMES = [
     "ConstraintSpec", "DensityGrid", "DomainError", "FPGridSpec", "FirstMoment",
     "GridMismatch", "GridTooNarrow", "InfeasibleConstraints", "MarketParams", "MassLeak",
     "MeasureError", "MultiplierSolution", "NoConvergence", "NumericalError", "OptionSpec",
     "PHYSICAL", "PathSet", "PriceResult", "RISK_NEUTRAL", "SecondCentralMoment",
-    "SupportViolation", "TabulatedMoment", "ToleranceNotMet", "TransitionDensity",
+    "SupportViolation", "ToleranceNotMet", "TransitionDensity",
     "alpha_from_entropic_time", "analytic_density", "beta_multiplier", "block_rng",
-    "closed_form_price", "d1_d2", "default_grid", "default_pde_grid", "density_from_csv",
-    "density_to_csv", "dynamics", "errors", "evolve_density", "fokker_planck",
-    "gaussian_density", "gk_call", "gk_put", "grids", "l1_distance", "log_coordinate",
-    "maxent", "mc_price", "parity_residual", "paths_to_csv", "pde_price",
-    "point_mass_density", "pricing", "quadrature_price", "relative_entropy",
-    "require_same_grid", "same_grid", "simulate_paths", "solve_maxent", "std_normal_cdf",
-    "transition_density", "transition_pdf", "uniform_density", "variance_from_alpha",
+    "closed_form_price", "default_grid", "default_pde_grid", "density_to_csv", "dynamics",
+    "errors", "evolve_density", "fokker_planck", "gaussian_density", "grids",
+    "l1_distance", "log_coordinate", "maxent", "mc_price", "parity_residual",
+    "paths_to_csv", "pde_price", "point_mass_density", "pricing", "quadrature_price",
+    "relative_entropy", "require_same_grid", "same_grid", "simulate_paths", "solve_maxent",
+    "std_normal_cdf", "transition_density", "transition_pdf", "uniform_density",
+]
+# Names the package once exported: closed_form_price and the _d1_d2 it
+# returns as diagnostics do their jobs, and the rest only tests called.
+REMOVED_NAMES = [
+    "TabulatedMoment", "d1_d2", "density_from_csv", "gk_call", "gk_put",
+    "variance_from_alpha",
 ]
 _RESOLVE = """
 import json, sys, types
@@ -199,5 +204,30 @@ print(json.dumps(wrong))
 
 
 def test_package_names_resolve():
-    assert len(PACKAGE_NAMES) == 62
+    assert len(PACKAGE_NAMES) == 56
     assert report(_RESOLVE, *PACKAGE_NAMES) == []
+
+
+def test_removed_names_are_gone():
+    import entropic_fx
+    from entropic_fx import dynamics, market, pricing
+
+    for module in (entropic_fx, market, dynamics, pricing):
+        assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+
+
+def test_market_imports_nothing_that_loads_numpy():
+    # At any depth, so a lazy import inside a function counts too: market
+    # is the closed form's whole module, and the math-only commands load
+    # numpy through nothing else.
+    path = Path(__file__).resolve().parents[1] / "src" / "entropic_fx" / "market.py"
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            parts.update(p for alias in node.names for p in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            parts.update(alias.name for alias in node.names)
+    assert "errors" in parts
+    heavy = {"numpy", "pricing", "dynamics", "grids", "fokker_planck", "maxent"}
+    assert sorted(parts & heavy) == []

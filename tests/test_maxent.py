@@ -14,14 +14,12 @@ from entropic_fx import (
     NoConvergence,
     SecondCentralMoment,
     SupportViolation,
-    TabulatedMoment,
     alpha_from_entropic_time,
     beta_multiplier,
     gaussian_density,
     relative_entropy,
     solve_maxent,
     uniform_density,
-    variance_from_alpha,
 )
 
 
@@ -39,7 +37,7 @@ class TestMultiplierIdentities:
     @settings(max_examples=200, deadline=None)
     def test_alpha_round_trip(self, sigma, dt):
         alpha = alpha_from_entropic_time(sigma, dt)
-        k = variance_from_alpha(alpha)
+        k = 1.0 / alpha
         direct = sigma * sigma * dt
         scale = max(1.0, abs(direct))
         assert abs(k - direct) <= 1e-15 * scale, (
@@ -81,12 +79,6 @@ class TestMultiplierIdentities:
             alpha_from_entropic_time(0.2, 0.0)
         with pytest.raises(DomainError):
             alpha_from_entropic_time(0.2, math.inf)
-
-    def test_variance_from_alpha_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            variance_from_alpha(0.0)
-        with pytest.raises(DomainError):
-            variance_from_alpha(-1.0)
 
     def test_beta_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
@@ -230,17 +222,6 @@ class TestVarianceTilt:
         variance = sol.density.expectation((pts - m_target) ** 2)
         assert variance == pytest.approx(v_target, rel=1e-9)
 
-    def test_tabulated_moment_matches_first_moment(self):
-        k, m = 0.04, 0.02
-        pts = sigma_grid(k)
-        prior = gaussian_density(pts, 0.0, k)
-        by_kind = solve_maxent(pts, prior, ConstraintSpec((FirstMoment(),), (m,)))
-        by_table = solve_maxent(
-            pts, prior, ConstraintSpec((TabulatedMoment(tuple(pts)),), (m,))
-        )
-        assert np.array_equal(by_kind.multipliers, by_table.multipliers)
-        assert np.array_equal(by_kind.density.weights, by_table.density.weights)
-
     def test_prior_rescaling_invariance(self):
         # Any positive rescaling of the prior gives the same solution.
         k, k_prime = 0.04, 0.01
@@ -357,13 +338,6 @@ class TestSolverBehaviour:
             ConstraintSpec((FirstMoment(),), (math.nan,))
         with pytest.raises(DomainError):
             ConstraintSpec((SecondCentralMoment(0.0),), (-0.01,))
-
-    def test_tabulated_moment_shape_check(self):
-        pts = sigma_grid(0.04)
-        prior = gaussian_density(pts, 0.0, 0.04)
-        bad = TabulatedMoment(tuple(pts[:-1]))
-        with pytest.raises(DomainError):
-            solve_maxent(pts, prior, ConstraintSpec((bad,), (0.0,)))
 
     def test_restricted_support_is_respected(self):
         # Zero-weight prior nodes must stay at zero in the solution.

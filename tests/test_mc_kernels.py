@@ -61,11 +61,16 @@ def reference_samples(params, opt, n_paths, seed, antithetic):
     sd = params.sigma * math.sqrt(t)
     n_draws = n_paths // 2 if antithetic else n_paths
     z = block_normals(seed, n_draws, 1)[:, 0]
+
+    def payoff(x):
+        gain = x - opt.strike if opt.kind == "call" else opt.strike - x
+        return np.maximum(gain, 0.0)
+
     if antithetic:
-        up = opt.payoff(np.exp(mean + sd * z))
-        dn = opt.payoff(np.exp(mean - sd * z))
+        up = payoff(np.exp(mean + sd * z))
+        dn = payoff(np.exp(mean - sd * z))
         return 0.5 * (up + dn)
-    return opt.payoff(np.exp(mean + sd * z))
+    return payoff(np.exp(mean + sd * z))
 
 
 def merged_moments(samples, block_size):

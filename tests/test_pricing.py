@@ -21,16 +21,15 @@ from entropic_fx import (
     PriceResult,
     ToleranceNotMet,
     closed_form_price,
-    d1_d2,
     default_pde_grid,
-    gk_call,
-    gk_put,
     mc_price,
     parity_residual,
     pde_price,
     quadrature_price,
     std_normal_cdf,
 )
+from entropic_fx.market import _d1_d2
+from entropic_fx.pricing import _payoff_in_place
 
 from conftest import BATTERY, apply_tridiag, battery_case, same_bits
 
@@ -82,7 +81,7 @@ class TestClosedForm:
         return MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
 
     def test_d1_d2_oracle(self):
-        d1, d2 = d1_d2(self.std(), OptionSpec("call", 1.0, 1.0))
+        d1, d2 = _d1_d2(self.std(), 1.0, 1.0)
         assert abs(d1 - STD_D1) < 1e-15
         assert abs(d2 - STD_D2) < 1e-15
 
@@ -90,7 +89,7 @@ class TestClosedForm:
     @settings(max_examples=200, deadline=None)
     def test_d2_offset_identity(self, market, strike):
         opt = OptionSpec("call", strike, 1.7)
-        d1, d2 = d1_d2(market, opt)
+        d1, d2 = _d1_d2(market, opt.strike, opt.expiry)
         gap = market.sigma * math.sqrt(opt.expiry)
         assert d1 - d2 == pytest.approx(gap, abs=1e-12)
 
@@ -98,7 +97,7 @@ class TestClosedForm:
         # Equal rates and u0 = K: the log-moneyness vanishes and
         # d1 = sigma sqrt(T) / 2 = -d2.
         market = MarketParams.risk_neutral(1.0, 0.03, 0.03, 0.2)
-        d1, d2 = d1_d2(market, OptionSpec("call", 1.0, 1.0))
+        d1, d2 = _d1_d2(market, 1.0, 1.0)
         half_width = 0.5 * market.sigma * math.sqrt(1.0)
         assert d1 == pytest.approx(half_width, abs=1e-15)
         assert d2 == pytest.approx(-half_width, abs=1e-15)
@@ -108,7 +107,7 @@ class TestClosedForm:
         # expression using the -sigma^2/2 drift adjustment.
         for row in BATTERY:
             market, opt = battery_case(row)
-            _, d2 = d1_d2(market, opt)
+            _, d2 = _d1_d2(market, opt.strike, opt.expiry)
             srt = market.sigma * math.sqrt(opt.expiry)
             direct = (
                 math.log(market.u0 / opt.strike)
@@ -120,32 +119,28 @@ class TestClosedForm:
             )
 
     def test_call_oracle(self):
-        result = gk_call(self.std(), OptionSpec("call", 1.0, 1.0))
+        result = closed_form_price(self.std(), OptionSpec("call", 1.0, 1.0))
         assert abs(result.premium - STD_CALL) < 1e-12
         assert result.method == "closed_form"
         assert result.diagnostics["d1"] == pytest.approx(STD_D1, abs=1e-15)
         assert result.diagnostics["d2"] == pytest.approx(STD_D2, abs=1e-15)
 
     def test_put_oracle(self):
-        result = gk_put(self.std(), OptionSpec("put", 1.0, 1.0))
+        result = closed_form_price(self.std(), OptionSpec("put", 1.0, 1.0))
         assert abs(result.premium - STD_PUT) < 1e-12
 
     def test_closed_form_dispatch(self):
+        # The option's kind picks the formula; d1 and d2 do not depend on it.
         call = closed_form_price(self.std(), OptionSpec("call", 1.0, 1.0))
         put = closed_form_price(self.std(), OptionSpec("put", 1.0, 1.0))
-        assert call.premium == gk_call(self.std(), OptionSpec("call", 1.0, 1.0)).premium
-        assert put.premium == gk_put(self.std(), OptionSpec("put", 1.0, 1.0)).premium
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            gk_call(self.std(), OptionSpec("put", 1.0, 1.0))
-        with pytest.raises(DomainError):
-            gk_put(self.std(), OptionSpec("call", 1.0, 1.0))
+        assert call.diagnostics == put.diagnostics
+        assert abs(call.premium - STD_CALL) < 1e-12
+        assert abs(put.premium - STD_PUT) < 1e-12
 
     def test_physical_measure_rejected(self):
         physical = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
         with pytest.raises(MeasureError):
-            gk_call(physical, OptionSpec("call", 1.0, 1.0))
+            closed_form_price(physical, OptionSpec("call", 1.0, 1.0))
 
     @given(
         market=market_strategy,
@@ -159,7 +154,7 @@ class TestClosedForm:
     ):
         # The separate call and put formulas, in their own operation order.
         opt = OptionSpec(kind, strike_ratio * market.u0, expiry)
-        d1, d2 = d1_d2(market, opt)
+        d1, d2 = _d1_d2(market, opt.strike, opt.expiry)
         spot = market.u0 * math.exp(-market.drift_f * expiry)
         strike = opt.strike * math.exp(-market.drift_d * expiry)
         if kind == "call":
@@ -171,7 +166,7 @@ class TestClosedForm:
     def test_put_with_cancelling_legs_is_positive_zero(self):
         # Both legs underflow to 0; the premium must not come out as -0.0.
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 1e-8)
-        premium = gk_put(market, OptionSpec("put", 0.5, 1.0)).premium
+        premium = closed_form_price(market, OptionSpec("put", 0.5, 1.0)).premium
         assert same_bits(premium, 0.0)
 
     def test_deep_itm_call_approaches_forward_value(self):
@@ -181,29 +176,29 @@ class TestClosedForm:
         expected = market.u0 * math.exp(-market.drift_f) - 1e-12 * math.exp(
             -market.drift_d
         )
-        assert gk_call(market, opt).premium == pytest.approx(expected, rel=1e-12)
+        assert closed_form_price(market, opt).premium == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_vol_otm_call_is_worthless(self):
         # Forward below strike with sigma sqrt(T) -> 0: no value at all.
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 1e-8)
-        assert gk_call(market, OptionSpec("call", 1.1, 1.0)).premium == 0.0
+        assert closed_form_price(market, OptionSpec("call", 1.1, 1.0)).premium == 0.0
 
     def test_vanishing_spot_put_is_discounted_strike(self):
         # u0 -> 0: exercise is certain, the put pays the discounted strike.
         market = MarketParams.risk_neutral(1e-12, 0.05, 0.02, 0.2)
         expected = math.exp(-0.05) - 1e-12 * math.exp(-0.02)
-        premium = gk_put(market, OptionSpec("put", 1.0, 1.0)).premium
+        premium = closed_form_price(market, OptionSpec("put", 1.0, 1.0)).premium
         assert premium == pytest.approx(expected, rel=1e-12)
 
     def test_tiny_sigma_call_is_discounted_intrinsic_forward(self):
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 1e-8)
         opt = OptionSpec("call", 0.9, 1.0)
         expected = math.exp(-0.05) * (math.exp(0.03) - 0.9)
-        assert gk_call(market, opt).premium == pytest.approx(expected, rel=1e-9)
+        assert closed_form_price(market, opt).premium == pytest.approx(expected, rel=1e-9)
 
     def test_far_otm_put_is_essentially_worthless(self):
         market = self.std()
-        assert gk_put(market, OptionSpec("put", 0.01, 1.0)).premium < 1e-100
+        assert closed_form_price(market, OptionSpec("put", 0.01, 1.0)).premium < 1e-100
 
     @given(
         market=market_strategy,
@@ -215,8 +210,8 @@ class TestClosedForm:
         strike = strike_ratio * market.u0
         disc_d = math.exp(-market.drift_d * expiry)
         disc_f = math.exp(-market.drift_f * expiry)
-        call = gk_call(market, OptionSpec("call", strike, expiry)).premium
-        put = gk_put(market, OptionSpec("put", strike, expiry)).premium
+        call = closed_form_price(market, OptionSpec("call", strike, expiry)).premium
+        put = closed_form_price(market, OptionSpec("put", strike, expiry)).premium
         lower_c = max(market.u0 * disc_f - strike * disc_d, 0.0)
         assert call >= lower_c - 1e-12 * market.u0
         assert call <= market.u0 * disc_f + 1e-12 * market.u0
@@ -229,7 +224,7 @@ class TestClosedForm:
     def test_call_decreasing_in_strike(self, market):
         strikes = market.u0 * np.array([0.6, 0.8, 1.0, 1.2, 1.5])
         prems = [
-            gk_call(market, OptionSpec("call", float(k), 1.0)).premium
+            closed_form_price(market, OptionSpec("call", float(k), 1.0)).premium
             for k in strikes
         ]
         assert all(b <= a + 1e-12 for a, b in zip(prems, prems[1:]))
@@ -263,8 +258,8 @@ class TestParity:
     @settings(max_examples=300, deadline=None)
     def test_matches_two_closed_form_prices_bitwise(self, market, strike_ratio, expiry):
         strike = market.u0 * strike_ratio
-        call = gk_call(market, OptionSpec("call", strike, expiry)).premium
-        put = gk_put(market, OptionSpec("put", strike, expiry)).premium
+        call = closed_form_price(market, OptionSpec("call", strike, expiry)).premium
+        put = closed_form_price(market, OptionSpec("put", strike, expiry)).premium
         forward_leg = market.u0 * math.exp(
             -market.drift_f * expiry
         ) - strike * math.exp(-market.drift_d * expiry)
@@ -771,17 +766,17 @@ class TestPde:
 class TestPriceResult:
     def test_json_round_trip(self):
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
-        result = gk_call(market, OptionSpec("call", 1.0, 1.0))
+        result = closed_form_price(market, OptionSpec("call", 1.0, 1.0))
         data = json.loads(json.dumps(result.to_json_dict()))
-        back = PriceResult.from_json_dict(data)
-        assert back.premium == result.premium
-        assert back.method == result.method
-        assert back.diagnostics["d1"] == result.diagnostics["d1"]
-        assert back.diagnostics["d2"] == result.diagnostics["d2"]
+        assert data == result.to_json_dict()
+        assert data["premium"] == result.premium
+        assert data["method"] == result.method
+        assert data["d1"] == result.diagnostics["d1"]
+        assert data["d2"] == result.diagnostics["d2"]
 
     def test_json_keys_are_fixed(self):
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
-        result = gk_call(market, OptionSpec("call", 1.0, 1.0))
+        result = closed_form_price(market, OptionSpec("call", 1.0, 1.0))
         assert set(result.to_json_dict()) == {
             "premium",
             "method",
@@ -793,11 +788,10 @@ class TestPriceResult:
     def test_mc_round_trip_leaves_d_fields_null(self):
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
         result = mc_price(market, OptionSpec("call", 1.0, 1.0), n_paths=100, seed=0)
-        data = result.to_json_dict()
+        data = json.loads(json.dumps(result.to_json_dict()))
         assert data["d1"] is None and data["d2"] is None
-        back = PriceResult.from_json_dict(data)
-        assert back.premium == result.premium
-        assert back.std_error == result.std_error
+        assert data["premium"] == result.premium
+        assert data["std_error"] == result.std_error
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
@@ -833,11 +827,11 @@ class TestOptionSpec:
     def test_payoffs(self):
         call = OptionSpec("call", 1.0, 1.0)
         put = OptionSpec("put", 1.0, 1.0)
-        assert call.payoff(1.3) == pytest.approx(0.3)
-        assert call.payoff(0.7) == 0.0
-        assert put.payoff(0.7) == pytest.approx(0.3)
-        assert put.payoff(1.3) == 0.0
-        arr = call.payoff(np.array([0.5, 1.5]))
+        rates = np.array([0.7, 1.3])
+        assert _payoff_in_place(call, rates.copy()) == pytest.approx([0.0, 0.3])
+        assert _payoff_in_place(put, rates.copy()) == pytest.approx([0.3, 0.0])
+        arr = np.array([0.5, 1.5])
+        assert _payoff_in_place(call, arr) is arr
         assert np.array_equal(arr, np.array([0.0, 0.5]))
 
 
@@ -848,8 +842,8 @@ class TestScaleInvariance:
         # Scaling spot and strike together scales the premium: prices are
         # degree-one homogeneous in the currency unit.
         base = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
-        call = gk_call(base, OptionSpec("call", 1.1, 1.0)).premium
-        scaled = gk_call(
+        call = closed_form_price(base, OptionSpec("call", 1.1, 1.0)).premium
+        scaled = closed_form_price(
             base.with_spot(scale), OptionSpec("call", 1.1 * scale, 1.0)
         ).premium
         assert scaled == pytest.approx(scale * call, rel=1e-12), (
@@ -859,10 +853,8 @@ class TestScaleInvariance:
     def test_d1_d2_invariant_under_joint_scaling(self):
         base = MarketParams.risk_neutral(1.0, 0.05, 0.02, 0.2)
         for scale in (1e-3, 0.1, 10.0, 1e3):
-            a = d1_d2(base, OptionSpec("call", 1.1, 1.0))
-            b = d1_d2(
-                base.with_spot(scale), OptionSpec("call", 1.1 * scale, 1.0)
-            )
+            a = _d1_d2(base, 1.1, 1.0)
+            b = _d1_d2(base.with_spot(scale), 1.1 * scale, 1.0)
             assert a[0] == pytest.approx(b[0], abs=1e-12)
             assert a[1] == pytest.approx(b[1], abs=1e-12)
 
