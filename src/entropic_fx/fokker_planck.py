@@ -237,6 +237,8 @@ def evolve_density(
     del flow
     spectrum *= _crank_nicolson_factor(lam, stencil, t / n_steps, n_steps)
     p = np.fft.irfft(spectrum, m)
+    del spectrum, lam
     if not np.isfinite(p).all():
         raise NumericalError("evolution overflowed to non-finite values")
-    return _finalize_weights(points, p[:n].copy())
+    p = p[:n].copy()  # the padding goes before the result is built and checked
+    return _finalize_weights(points, p)

@@ -175,20 +175,16 @@ def solve_maxent(
     if len(constraints) == 0:
         # Minimal updating: nothing to constrain, the prior is the answer.
         return MultiplierSolution(
-            multipliers=np.empty(0),
-            density=prior,
-            iterations=0,
-            residual_norm=0.0,
-            dual_path=np.empty(0),
+            multipliers=np.empty(0), density=prior, iterations=0, residual_norm=0.0
         )
     prior = prior.normalize()
 
-    features = constraints.feature_matrix(grid)
-    targets = np.asarray(constraints.targets, dtype=float)
+    # One C-ordered row per feature on the prior's support; other nodes keep 0.
     support = prior.weights > 0.0
-    for j in range(features.shape[0]):
-        f_support = features[j, support]
-        lo, hi = float(f_support.min()), float(f_support.max())
+    feats = constraints.feature_matrix(grid[support])
+    targets = np.asarray(constraints.targets, dtype=float)
+    for j, row in enumerate(feats):
+        lo, hi = float(row.min()), float(row.max())
         if not (lo < targets[j] < hi):
             raise InfeasibleConstraints(
                 f"target {targets[j]} of constraint {j} lies outside the "
@@ -196,22 +192,22 @@ def solve_maxent(
             )
 
     c = _trapezoid_weights(grid.size, reference.h)
-    # All work happens on the prior's support; excluded nodes keep zero mass.
-    feats = features[:, support]
     base = (c * prior.weights)[support]  # quadrature-weighted prior mass
+    # The workspace that every dual evaluation of this solve refills.
+    s, centered, weighted = np.empty(base.size), np.empty_like(feats), np.empty_like(feats)
 
     def dual_state(lam: np.ndarray):
         """Dual value, induced node masses, gradient, and covariance at lam."""
-        s = feats.T @ lam
-        s_max = float(np.max(s))
-        scaled = base * np.exp(s - s_max)
-        z = float(np.sum(scaled))
+        s_max = float(np.max(np.matmul(lam, feats, out=s)))
+        np.exp(np.subtract(s, s_max, out=s), out=s)
+        np.multiply(s, base, out=s)
+        z = float(np.sum(s))
         dual = s_max + np.log(z) - float(lam @ targets)
-        node_mass = scaled / z  # quadrature-weighted density, sums to 1
+        node_mass = s / z  # quadrature-weighted density, sums to 1
         moments = feats @ node_mass
         grad = moments - targets
-        centered = feats - moments[:, None]
-        hess = (centered * node_mass) @ centered.T
+        np.subtract(feats, moments[:, None], out=centered)
+        hess = np.multiply(centered, node_mass, out=weighted) @ centered.T
         return dual, node_mass, grad, hess
 
     lam = np.zeros(feats.shape[0])

@@ -11,6 +11,7 @@ from entropic_fx import (
     DomainError,
     FirstMoment,
     InfeasibleConstraints,
+    MarketParams,
     NoConvergence,
     SecondCentralMoment,
     SupportViolation,
@@ -19,6 +20,8 @@ from entropic_fx import (
     gaussian_density,
     relative_entropy,
     solve_maxent,
+    transition_density,
+    transition_pdf,
     uniform_density,
 )
 
@@ -350,3 +353,124 @@ class TestSolverBehaviour:
         outside = np.abs(pts) > 0.5
         assert np.all(sol.density.weights[outside] == 0.0)
         assert sol.density.mean() == pytest.approx(0.1, abs=1e-10)
+
+
+def two_moment_problem(mean, var, n_points):
+    """Uniform prior on mean +- (|mean| + 12 sd) with the continuity
+    (second moment) and directionality (first moment) constraints."""
+    half = abs(mean) + 12.0 * math.sqrt(var)
+    pts = np.linspace(-half, half, n_points)
+    constraints = ConstraintSpec(
+        (FirstMoment(), SecondCentralMoment(0.0)), (mean, var + mean * mean)
+    )
+    return pts, uniform_density(pts), constraints
+
+
+class TestEntropicKernel:
+    """One step of the paper's entropic inference: maxent under the two
+    constraints recovers the GBM transition law and its two multipliers."""
+
+    @given(
+        sigma=st.floats(min_value=0.05, max_value=1.0),
+        dt=st.floats(min_value=1e-4, max_value=0.1),
+        drift_gap=st.floats(min_value=-0.1, max_value=0.2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_is_the_transition_law(self, sigma, dt, drift_gap):
+        market = MarketParams(u0=1.0, drift_d=drift_gap, drift_f=0.0, sigma=sigma)
+        td = transition_density(market, dt)
+        pts, prior, constraints = two_moment_problem(td.log_mean, td.log_var, 2001)
+        sol = solve_maxent(pts, prior, constraints)
+        # The worst draws are the smallest variances, where the solver's
+        # absolute 1e-12 moment tolerance stops Newton one step early
+        # (3.4e-7 at sigma 0.05, dt 1e-4).  beta crosses zero inside the
+        # domain, so its error is relative to max(|beta|, 1).
+        beta = beta_multiplier(drift_gap, 0.0, sigma)
+        half_alpha = 0.5 * alpha_from_entropic_time(sigma, dt)
+        assert abs(sol.multipliers[0] - beta) <= 1e-6 * max(abs(beta), 1.0), (
+            f"lambda_1 {sol.multipliers[0]!r} vs beta {beta!r}"
+        )
+        assert abs(sol.multipliers[1] + half_alpha) <= 1e-6 * half_alpha, (
+            f"lambda_2 {sol.multipliers[1]!r} vs -alpha/2 {-half_alpha!r}"
+        )
+        exact = transition_pdf(td, pts)
+        err = float(np.max(np.abs(sol.density.weights - exact))) / float(exact.max())
+        assert err <= 1e-6, f"kernel off the transition law by {err:.3e} of its peak"
+
+
+def reference_solve(grid, prior, constraints, tol=1e-12):
+    """solve_maxent's Newton iteration with its earlier dual evaluation: the
+    feature matrix masked by column to the support (an F-ordered copy),
+    ``feats.T @ lam``, and fresh temporaries on every call."""
+    prior = prior.normalize()
+    targets = np.asarray(constraints.targets, dtype=float)
+    support = prior.weights > 0.0
+    c = np.full(grid.size, prior.h)
+    c[0] = c[-1] = 0.5 * prior.h
+    feats = constraints.feature_matrix(grid)[:, support]
+    base = (c * prior.weights)[support]
+
+    def dual_state(lam):
+        s = feats.T @ lam
+        s_max = float(np.max(s))
+        scaled = base * np.exp(s - s_max)
+        z = float(np.sum(scaled))
+        dual = s_max + np.log(z) - float(lam @ targets)
+        node_mass = scaled / z
+        moments = feats @ node_mass
+        grad = moments - targets
+        centered = feats - moments[:, None]
+        hess = (centered * node_mass) @ centered.T
+        return dual, node_mass, grad, hess
+
+    lam = np.zeros(feats.shape[0])
+    dual, node_mass, grad, hess = dual_state(lam)
+    iterations = 0
+    while float(np.max(np.abs(grad))) > tol:
+        assert iterations < 100
+        step = np.linalg.solve(hess, -grad)
+        predicted = -0.5 * float(grad @ step)
+        full_step = predicted <= 8.0 * np.finfo(float).eps * (1.0 + abs(dual))
+        scale = 1.0
+        for _ in range(61):
+            trial = lam + scale * step
+            state = dual_state(trial)
+            if full_step or state[0] < dual:
+                break
+            scale *= 0.5
+        lam, (dual, node_mass, grad, hess) = trial, state
+        iterations += 1
+    weights = np.zeros(grid.size)
+    weights[support] = node_mass / c[support]
+    return lam, iterations, DensityGrid(grid, weights).normalize().weights
+
+
+class TestReferenceDual:
+    """The workspace dual evaluation against the fresh-temporary one: the
+    same arithmetic in another memory layout, so only the last bits move."""
+
+    def assert_matches_reference(self, pts, prior, constraints):
+        sol = solve_maxent(pts, prior, constraints)
+        lam, iterations, weights = reference_solve(pts, prior, constraints)
+        assert sol.iterations == iterations
+        assert np.all(np.abs(sol.multipliers - lam) <= 1e-13 * np.abs(lam)), (
+            f"multipliers {sol.multipliers!r} vs reference {lam!r}"
+        )
+        worst = float(np.max(np.abs(sol.density.weights - weights)))
+        assert worst <= 1e-13 * float(weights.max())
+
+    # The benchmark's grid_solvers problem: ordinary and fine grids.
+    @pytest.mark.parametrize("n_points", [2001, 16001])
+    @pytest.mark.parametrize("sigma, t, log_drift", [(0.2, 1.0, 0.01), (0.6, 0.25, -0.2)])
+    def test_benchmark_problem(self, n_points, sigma, t, log_drift):
+        mean, var = log_drift * t, sigma * sigma * t
+        self.assert_matches_reference(*two_moment_problem(mean, var, n_points))
+
+    def test_prior_with_zero_weight_nodes(self):
+        pts = np.linspace(-1.0, 1.0, 401)
+        prior = DensityGrid(pts, np.where(np.abs(pts) <= 0.5, 1.0 + pts, 0.0))
+        constraints = ConstraintSpec(
+            (FirstMoment(), SecondCentralMoment(0.0)), (0.1, 0.06)
+        )
+        assert np.count_nonzero(prior.weights) < pts.size
+        self.assert_matches_reference(pts, prior, constraints)
