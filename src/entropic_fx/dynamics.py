@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_at_least, require_positive
 from .grids import _csv_chunks
 from .market import PHYSICAL, RISK_NEUTRAL, MarketParams, log_coordinate  # re-exported
 
@@ -25,6 +25,9 @@ from .market import PHYSICAL, RISK_NEUTRAL, MarketParams, log_coordinate  # re-e
 # fixes the stream layout: block b is drawn from block_rng(seed, b), so
 # changing it changes every seeded output.
 _CHUNK = 65_536
+# simulate_paths holds n_paths * (n_steps + 1) float64 values at once; it
+# refuses more than this (0.8 GB) before allocating them.
+MAX_PATH_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,8 @@ class TransitionDensity:
     dt: float
 
     def __post_init__(self):
-        if not (self.log_var > 0.0 and math.isfinite(self.log_var)):
-            raise DomainError("log_var must be positive and finite")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise DomainError("dt must be positive and finite")
+        require_positive("log_var", self.log_var)
+        require_positive("dt", self.dt)
         if not math.isfinite(self.log_mean):
             raise DomainError("log_mean must be finite")
 
@@ -50,8 +51,7 @@ def transition_density(params: MarketParams, dt: float) -> TransitionDensity:
     Depends only on the ratio u'/u, never on the level u0, so it is
     identical for any rescaling of the spot.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise DomainError("dt must be positive and finite")
+    require_positive("dt", dt)
     return TransitionDensity(
         log_mean=params.log_drift * dt,
         log_var=params.sigma * params.sigma * dt,
@@ -143,16 +143,17 @@ def simulate_paths(
     a function of the seed, ``n_paths`` and ``n_steps`` alone; the blocks
     run on up to ``n_partitions`` threads.
     """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise DomainError("horizon must be positive and finite")
-    if n_steps < 1:
-        raise DomainError("n_steps must be at least 1")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
+    require_positive("horizon", horizon)
+    require_at_least("n_steps", n_steps, 1)
+    require_at_least("n_paths", n_paths, 1)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a non-negative integer")
-    if n_partitions < 1:
-        raise DomainError("n_partitions must be at least 1")
+    require_at_least("n_partitions", n_partitions, 1)
+    if n_paths * (n_steps + 1) > MAX_PATH_VALUES:
+        raise DomainError(
+            f"{n_paths} paths of {n_steps + 1} values exceed {MAX_PATH_VALUES}: "
+            "lower n_paths or n_steps"
+        )
 
     x0 = log_coordinate(params.u0)
     dt = horizon / n_steps

@@ -5,9 +5,23 @@ mapped to exit code 2 by the CLI) and numerical failures discovered mid-run
 (``NumericalError`` subclasses, exit code 3).
 """
 
+import math
+
 
 class DomainError(ValueError):
     """An input value is outside the operation's domain (e.g. sigma <= 0)."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise DomainError unless value is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite")
+
+
+def require_at_least(name: str, value: int, low: int) -> None:
+    """Raise DomainError if value is below low."""
+    if value < low:
+        raise DomainError(f"{name} must be at least {low}")
 
 
 class GridMismatch(ValueError):

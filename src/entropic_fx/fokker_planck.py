@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MassLeak, NumericalError
+from .errors import DomainError, MassLeak, NumericalError, require_at_least, require_positive
 from .grids import MAX_GRID_POINTS, DensityGrid, gaussian_density
 from .market import MarketParams, log_coordinate
 
@@ -47,8 +47,7 @@ class FPGridSpec:
             raise DomainError("x_min must be less than x_max")
         if not 3 <= self.n_points <= MAX_GRID_POINTS:
             raise DomainError(f"n_points must be between 3 and {MAX_GRID_POINTS}")
-        if not (self.dt_step > 0.0 and math.isfinite(self.dt_step)):
-            raise DomainError("dt_step must be positive and finite")
+        require_positive("dt_step", self.dt_step)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
@@ -69,10 +68,8 @@ def default_grid(
     n_time_steps: int = 1000,
 ) -> FPGridSpec:
     """Grid centered on the log-rate mean at time t, ten sigmas wide."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError("t must be positive and finite")
-    if n_time_steps < 1:
-        raise DomainError("n_time_steps must be at least 1")
+    require_positive("t", t)
+    require_at_least("n_time_steps", n_time_steps, 1)
     center = log_coordinate(params.u0) + params.log_drift * t
     half = 10.0 * params.sigma * math.sqrt(t)
     return FPGridSpec(
@@ -100,8 +97,7 @@ def point_mass_density(points: np.ndarray, center: float) -> DensityGrid:
 
 def analytic_density(params: MarketParams, t: float, points: np.ndarray) -> DensityGrid:
     """Exact log-rate density at time t: Gaussian with drift*t and var sigma^2 t."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError("t must be positive and finite")
+    require_positive("t", t)
     mean = log_coordinate(params.u0) + params.log_drift * t
     var = params.sigma * params.sigma * t
     return gaussian_density(np.asarray(points, dtype=float), mean, var)
@@ -196,8 +192,7 @@ def evolve_density(
     the exact-in-time flow of the grid operator leaves more than a 1e-8
     fraction of the mass in the padding at time t.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError("t must be positive and finite")
+    require_positive("t", t)
     points = spec.points()
     scale = max(1.0, abs(spec.x_min), abs(spec.x_max))
     if initial.points.shape != points.shape or not np.allclose(

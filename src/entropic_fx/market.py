@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import DomainError, MeasureError, NumericalError
+from .errors import DomainError, MeasureError, NumericalError, require_positive
 
 PHYSICAL = "physical"
 RISK_NEUTRAL = "risk_neutral"
@@ -39,10 +39,8 @@ class MarketParams:
     measure_tag: str = PHYSICAL
 
     def __post_init__(self):
-        if not (self.u0 > 0.0 and math.isfinite(self.u0)):
-            raise DomainError("u0 must be positive and finite")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise DomainError("sigma must be positive and finite")
+        require_positive("u0", self.u0)
+        require_positive("sigma", self.sigma)
         if not (math.isfinite(self.drift_d) and math.isfinite(self.drift_f)):
             raise DomainError("drifts must be finite")
         if not math.isfinite(self.log_drift):
@@ -67,16 +65,13 @@ class MarketParams:
 
 def log_coordinate(u: float) -> float:
     """Scale-invariant coordinate ln(u) of an exchange rate."""
-    if not (u > 0.0 and math.isfinite(u)):
-        raise DomainError("exchange rate must be positive and finite")
+    require_positive("exchange rate", u)
     return math.log(u)
 
 
 def _check_contract(strike: float, expiry: float) -> None:
-    if not (strike > 0.0 and math.isfinite(strike)):
-        raise DomainError("strike must be positive and finite")
-    if not (expiry > 0.0 and math.isfinite(expiry)):
-        raise DomainError("expiry must be positive and finite")
+    require_positive("strike", strike)
+    require_positive("expiry", expiry)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError,
-    InfeasibleConstraints,
-    NoConvergence,
-    SupportViolation,
+    DomainError, InfeasibleConstraints, NoConvergence, SupportViolation, require_at_least,
+    require_positive,
 )
 from .grids import DensityGrid, require_same_grid
 
@@ -107,17 +105,14 @@ def relative_entropy(p: DensityGrid, q: DensityGrid) -> float:
 
 def alpha_from_entropic_time(sigma: float, dt: float) -> float:
     """Continuity-constraint multiplier 1 / (sigma**2 * dt)."""
-    if not (sigma > 0.0 and np.isfinite(sigma)):
-        raise DomainError("sigma must be positive and finite")
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise DomainError("dt must be positive and finite")
+    require_positive("sigma", sigma)
+    require_positive("dt", dt)
     return 1.0 / (sigma * sigma * dt)
 
 
 def beta_multiplier(mu_d: float, mu_f: float, sigma: float) -> float:
     """Directionality-constraint multiplier (mu_d - mu_f) / sigma**2 - 1/2."""
-    if not (sigma > 0.0 and np.isfinite(sigma)):
-        raise DomainError("sigma must be positive and finite")
+    require_positive("sigma", sigma)
     return (mu_d - mu_f) / (sigma * sigma) - 0.5
 
 
@@ -169,8 +164,7 @@ def solve_maxent(
     require_same_grid(prior, reference)
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1")
+    require_at_least("max_iter", max_iter, 1)
 
     if len(constraints) == 0:
         # Minimal updating: nothing to constrain, the prior is the answer.

@@ -16,7 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _run_blocks
-from .errors import DomainError, GridTooNarrow, NumericalError, ToleranceNotMet
+from .errors import (
+    DomainError, GridTooNarrow, NumericalError, ToleranceNotMet, require_at_least,
+    require_positive,
+)
 from .fokker_planck import FPGridSpec, _crank_nicolson_factor
 from .market import (  # numpy-free; the closed form's names are re-exported here
     CALL, PUT, RISK_NEUTRAL, MarketParams, OptionSpec, PriceResult, _discount,
@@ -68,8 +71,7 @@ def quadrature_price(
     exceeds ``tol * max(1, u0, strike)``.
     """
     _require_risk_neutral(params)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError("tol must be positive and finite")
+    require_positive("tol", tol)
     abs_tol = tol * max(1.0, params.u0, opt.strike)
     t = opt.expiry
     mean = log_coordinate(params.u0) + params.log_drift * t
@@ -149,12 +151,10 @@ def mc_price(
     pair is a hit if either leg pays); with none, ``std_error`` is 0.
     """
     _require_risk_neutral(params)
-    if n_paths < 2:
-        raise DomainError("n_paths must be at least 2")
+    require_at_least("n_paths", n_paths, 2)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a non-negative integer")
-    if n_partitions < 1:
-        raise DomainError("n_partitions must be at least 1")
+    require_at_least("n_partitions", n_partitions, 1)
     if antithetic and n_paths % 2 != 0:
         raise DomainError("antithetic sampling requires an even n_paths")
     if antithetic and n_paths < 4:
@@ -228,8 +228,7 @@ def default_pde_grid(
     Centered between the log forward and the log strike, extended ten
     sigma*sqrt(T) plus the forward's drift sigma^2 T / 2 on each side.
     """
-    if n_time_steps < 1:
-        raise DomainError("n_time_steps must be at least 1")
+    require_at_least("n_time_steps", n_time_steps, 1)
     y0 = _log_forward(params, opt.expiry)
     ln_k = math.log(opt.strike)
     width = params.sigma * math.sqrt(opt.expiry)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from entropic_fx import (
     density_to_csv,
     paths_to_csv,
 )
-from entropic_fx import cli, grids, pricing
+from entropic_fx import cli, dynamics, grids, pricing
 from entropic_fx.cli import build_parser, resolve_settings
 from entropic_fx.market import _d1_d2
 
@@ -639,11 +640,11 @@ class TestParityCommand:
         assert json.loads(line)["error"] == "DomainError"
 
     @staticmethod
-    def sweep_before(market, n_cases, seed):
-        """The sweep as written before its draws were taken in blocks: one
-        uniform draw at a time, and the residual from the call and put
-        premiums written out with std_normal_cdf."""
-        rng = np.random.default_rng(seed)
+    def per_case_sweep(market, n_cases, seed):
+        """The sweep written out case by case: two uniform draws from
+        random.Random(seed), and the residual from the call and put premiums
+        written out with std_normal_cdf."""
+        rng = random.Random(seed)
         cdf = pricing.std_normal_cdf
         worst, violations = 0.0, 0
         for _ in range(n_cases):
@@ -664,13 +665,12 @@ class TestParityCommand:
         "rf, sigma, n_cases, seed",
         [
             (0.02, 0.2, 3000, 0), (0.02, 0.2, 3000, 3), (0.02, 0.2, 3000, 17),
-            (0.02, 0.2, 70_000, 12345),  # more than one block of draws
             (-3.0, 1.0, 3000, 3),  # some cases exceed the bound: exit 3
         ],
     )
     def test_sweep_matches_the_per_case_loop(self, rf, sigma, n_cases, seed, capsys):
         market = MarketParams.risk_neutral(1.1, 0.01, rf, sigma)
-        worst, violations = self.sweep_before(market, n_cases, seed)
+        worst, violations = self.per_case_sweep(market, n_cases, seed)
         code = cli.main([
             "parity", "--u0", "1.1", "--rd", "0.01", "--rf", repr(rf),
             "--sigma", repr(sigma), "--strike", "1", "--expiry", "1",
@@ -747,6 +747,24 @@ class TestSimulateCommand:
             "--horizon", "-1.0",
         )
         assert proc.returncode == 2
+
+    def test_impossible_size_exits_2(self):
+        # 10^20 values: refused before numpy is asked for the array.
+        proc = run_cli(
+            "simulate", *self.BASE, "--n-paths", "10000000000", "--n-steps", "10000000000",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
+
+    def test_size_limit_counts_values(self, monkeypatch, capsys):
+        # BASE holds 4 paths of 5 + 1 values: 24.
+        monkeypatch.setattr(dynamics, "MAX_PATH_VALUES", 23)
+        assert cli.main(["simulate", *self.BASE]) == 2
+        monkeypatch.setattr(dynamics, "MAX_PATH_VALUES", 24)
+        assert cli.main(["simulate", *self.BASE]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
 
 
 class TestFokkerPlanckCommand:

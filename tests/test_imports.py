@@ -1,6 +1,6 @@
 """No import or CLI subcommand loads scipy, only the grid solvers load
-numpy.fft, and the package import, the closed-form price and a single parity
-case load no numpy at all.
+numpy.fft, and the package import, the closed-form price and parity, one case
+or a sweep, load no numpy at all.
 
 scipy is not a runtime dependency: the grid solvers' transforms are numpy's
 (numpy.fft), and quadrature is a numpy Gauss-Legendre rule.  Tests still use
@@ -125,11 +125,13 @@ def test_cli_import_loads_no_thread_pool():
     assert proc.stdout.split() == ["False"]
 
 
-# The commands that need only math: closed-form price and one parity case.
+# The commands that need only math: closed-form price and parity, one case
+# or a sweep.
 MATH_ONLY = {
     "price": ["price", *MARKET, *OPTION, "--kind", "call"],
     "price_put": ["price", *MARKET, *OPTION, "--kind", "put", "--method", "closed_form"],
     "parity": ["parity", *MARKET, *OPTION],
+    "parity_sweep": ["parity", *MARKET, *OPTION, "--sweep", "50"],
 }
 
 
