@@ -11,6 +11,7 @@ and domain errors exit with code 2, numerical failures with code 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,8 +20,10 @@ import sys
 from collections.abc import Iterable
 from typing import Any, Optional
 
-from .errors import DomainError, NumericalError, require_at_least, require_positive
-from .market import CALL, PUT, MarketParams, OptionSpec, closed_form_price, parity_residual
+from .errors import DomainError, NumericalError, require_positive
+from .market import (
+    _METHODS, CALL, PUT, MarketParams, OptionSpec, closed_form_price, parity_residual,
+)
 
 # Agreement thresholds for `price --method all`: quadrature against the
 # closed form, Monte Carlo within four standard errors, PDE to 1e-3
@@ -60,9 +63,7 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
         **_market(),
         **_OPTION,
         "kind": (str, _REQUIRED, (CALL, PUT)),
-        "method": (
-            str, "closed_form", ("closed_form", "quadrature", "monte_carlo", "pde", "all")
-        ),
+        "method": (str, "closed_form", (*_METHODS, "all")),
         "n_paths": (int, 100_000, None),
         "seed": (int, 0, None),
         "antithetic": (bool, True, None),
@@ -174,9 +175,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             elif typ in (int, float):
                 if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                     raise ConfigError(f"config key {key} must be a number")
-                if typ is int and raw != int(raw):
+                if typ is int and not (isinstance(raw, int) or raw.is_integer()):
                     raise ConfigError(f"config key {key} must be an integer")
-                value = typ(raw)
+                try:
+                    value = typ(raw)
+                except OverflowError:
+                    raise ConfigError(f"config key {key} must be a finite number") from None
             else:
                 if not isinstance(raw, str):
                     raise ConfigError(f"config key {key} must be a string")
@@ -215,21 +219,16 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _pde_grid_from(settings: dict, horizon: float):
-    """The FPGridSpec given by x_min/x_max, or None to use the solver's default."""
+def _grid(settings: dict, horizon: float, default):
+    """The FPGridSpec that x_min/x_max give, else default(n_points, n_time_steps)."""
     x_min, x_max = settings["x_min"], settings["x_max"]
     if (x_min is None) != (x_max is None):
         raise ConfigError("x_min and x_max must be given together")
+    n_points, n_time_steps = settings["n_points"], settings["n_time_steps"]
     if x_min is None:
-        return None
-    require_at_least("n_time_steps", settings["n_time_steps"], 1)
+        return default(n_points, n_time_steps)
     from .fokker_planck import FPGridSpec
-    return FPGridSpec(
-        x_min=x_min,
-        x_max=x_max,
-        n_points=settings["n_points"],
-        dt_step=horizon / settings["n_time_steps"],
-    )
+    return FPGridSpec.from_steps(x_min, x_max, n_points, horizon, n_time_steps)
 
 
 def _price_one(method: str, settings: dict, market: MarketParams, opt: OptionSpec):
@@ -247,12 +246,8 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt: OptionSpe
             antithetic=settings["antithetic"],
             n_partitions=_threads(settings),
         )
-    grid = _pde_grid_from(settings, opt.expiry)
-    if grid is None:
-        grid = pricing.default_pde_grid(
-            market, opt, settings["n_points"], settings["n_time_steps"]
-        )
-    return pricing.pde_price(market, opt, grid)
+    default = functools.partial(pricing.default_pde_grid, market, opt)
+    return pricing.pde_price(market, opt, _grid(settings, opt.expiry, default))
 
 
 def cmd_price(settings: dict) -> None:
@@ -263,10 +258,7 @@ def cmd_price(settings: dict) -> None:
         _print_json(result.to_json_dict())
         return
 
-    results = [
-        _price_one(m, settings, market, opt)
-        for m in ("closed_form", "quadrature", "monte_carlo", "pde")
-    ]
+    results = [_price_one(m, settings, market, opt) for m in _METHODS]
     reference = results[0].premium
     mc = results[2]
     ok_quad = abs(results[1].premium - reference) <= _ALL_QUAD_TOL * max(1.0, reference)
@@ -335,9 +327,7 @@ def cmd_fokker_planck(settings: dict) -> None:
     market = MarketParams(*_rates(settings))
     t = settings["t"]
     require_positive("t", t)
-    spec = _pde_grid_from(settings, t)
-    if spec is None:
-        spec = fp.default_grid(market, t, settings["n_points"], settings["n_time_steps"])
+    spec = _grid(settings, t, functools.partial(fp.default_grid, market, t))
     points = spec.points()
     initial = fp.point_mass_density(points, math.log(market.u0))
     evolved = fp.evolve_density(initial, market, t, spec)

@@ -72,20 +72,15 @@ class PathSet:
     """Simulated log-rate trajectories on a uniform time grid."""
 
     times: np.ndarray
-    log_paths: np.ndarray
-    seed: int
-    n_paths: int
-    n_steps: int
+    log_paths: np.ndarray  # one row per path, one column per time
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         log_paths = np.asarray(self.log_paths, dtype=float)
         if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise DomainError("times must start at 0 and increase strictly")
-        if log_paths.shape != (self.n_paths, self.n_steps + 1):
-            raise DomainError("log_paths shape must be (n_paths, n_steps + 1)")
-        if times.size != self.n_steps + 1:
-            raise DomainError("times length must be n_steps + 1")
+        if log_paths.ndim != 2 or log_paths.shape[1] != times.size:
+            raise DomainError("log_paths must be 2-D with one column per time")
         first = log_paths[:, 0]
         if np.any(first != first[0]):
             raise DomainError("all paths must share the same starting point")
@@ -100,6 +95,13 @@ class PathSet:
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """Independent stream for one block, derived from (seed, block)."""
     return np.random.default_rng(np.random.SeedSequence((seed, block)))
+
+
+def _require_streams(seed: int, n_partitions: int) -> None:
+    """Check the arguments that pick the block streams and their threads."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be a non-negative integer")
+    require_at_least("n_partitions", n_partitions, 1)
 
 
 def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> list:
@@ -146,9 +148,7 @@ def simulate_paths(
     require_positive("horizon", horizon)
     require_at_least("n_steps", n_steps, 1)
     require_at_least("n_paths", n_paths, 1)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError("seed must be a non-negative integer")
-    require_at_least("n_partitions", n_partitions, 1)
+    _require_streams(seed, n_partitions)
     if n_paths * (n_steps + 1) > MAX_PATH_VALUES:
         raise DomainError(
             f"{n_paths} paths of {n_steps + 1} values exceed {MAX_PATH_VALUES}: "
@@ -172,19 +172,12 @@ def simulate_paths(
 
     _run_blocks(n_paths, n_steps, seed, n_partitions, fill)
 
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    return PathSet(
-        times=times,
-        log_paths=log_paths,
-        seed=int(seed),
-        n_paths=n_paths,
-        n_steps=n_steps,
-    )
+    return PathSet(np.linspace(0.0, horizon, n_steps + 1), log_paths)
 
 
 def paths_csv_chunks(paths: PathSet) -> Iterator[str]:
     """The text of paths_to_csv, in chunks of a few thousand values."""
-    header = "time," + ",".join(f"path_{j}" for j in range(paths.n_paths)) + "\n"
+    header = "time," + ",".join(f"path_{j}" for j in range(len(paths.log_paths))) + "\n"
     return _csv_chunks(header, paths.times, paths.log_paths.T)
 
 

@@ -60,6 +60,14 @@ class FPGridSpec:
         """
         return max(1, math.ceil(t / self.dt_step * (1.0 - 1e-12)))
 
+    @classmethod
+    def from_steps(
+        cls, x_min: float, x_max: float, n_points: int, t: float, n_time_steps: int
+    ) -> FPGridSpec:
+        """The grid that spans t in n_time_steps equal steps."""
+        require_at_least("n_time_steps", n_time_steps, 1)
+        return cls(x_min, x_max, n_points, t / n_time_steps)
+
 
 def default_grid(
     params: MarketParams,
@@ -69,15 +77,9 @@ def default_grid(
 ) -> FPGridSpec:
     """Grid centered on the log-rate mean at time t, ten sigmas wide."""
     require_positive("t", t)
-    require_at_least("n_time_steps", n_time_steps, 1)
     center = log_coordinate(params.u0) + params.log_drift * t
     half = 10.0 * params.sigma * math.sqrt(t)
-    return FPGridSpec(
-        x_min=center - half,
-        x_max=center + half,
-        n_points=n_points,
-        dt_step=t / n_time_steps,
-    )
+    return FPGridSpec.from_steps(center - half, center + half, n_points, t, n_time_steps)
 
 
 def point_mass_density(points: np.ndarray, center: float) -> DensityGrid:

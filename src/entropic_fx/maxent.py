@@ -223,28 +223,20 @@ def solve_maxent(
 
         # Expected decrease under the local quadratic model.  Once it falls
         # below the float resolution of the dual value, strict descent is
-        # unobservable, so the full Newton step is accepted outright.
+        # unobservable, so the first finite trial is accepted outright.
         predicted = -0.5 * float(grad @ step)
-        floor = 8.0 * np.finfo(float).eps * (1.0 + abs(dual))
-        if predicted <= floor:
-            trial = lam + step
+        full_step = predicted <= 8.0 * np.finfo(float).eps * (1.0 + abs(dual))
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = lam + scale * step
             t_dual, t_mass, t_grad, t_hess = dual_state(trial)
-            if not np.isfinite(t_dual):
-                raise NoConvergence(
-                    f"terminal step failed at residual {residual:.3e}"
-                )
+            if np.isfinite(t_dual) and (full_step or t_dual < dual):
+                break
+            scale *= 0.5
         else:
-            scale = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
-                trial = lam + scale * step
-                t_dual, t_mass, t_grad, t_hess = dual_state(trial)
-                if np.isfinite(t_dual) and t_dual < dual:
-                    break
-                scale *= 0.5
-            else:
-                raise NoConvergence(
-                    f"line search stalled at residual {residual:.3e} (tol {tol:.3e})"
-                )
+            raise NoConvergence(
+                f"line search stalled at residual {residual:.3e} (tol {tol:.3e})"
+            )
 
         if t_dual < dual:
             dual_path.append(t_dual)

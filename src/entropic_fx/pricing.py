@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _run_blocks
+from .dynamics import _require_streams, _run_blocks
 from .errors import (
     DomainError, GridTooNarrow, NumericalError, ToleranceNotMet, require_at_least,
     require_positive,
@@ -152,9 +152,7 @@ def mc_price(
     """
     _require_risk_neutral(params)
     require_at_least("n_paths", n_paths, 2)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError("seed must be a non-negative integer")
-    require_at_least("n_partitions", n_partitions, 1)
+    _require_streams(seed, n_partitions)
     if antithetic and n_paths % 2 != 0:
         raise DomainError("antithetic sampling requires an even n_paths")
     if antithetic and n_paths < 4:
@@ -228,17 +226,13 @@ def default_pde_grid(
     Centered between the log forward and the log strike, extended ten
     sigma*sqrt(T) plus the forward's drift sigma^2 T / 2 on each side.
     """
-    require_at_least("n_time_steps", n_time_steps, 1)
     y0 = _log_forward(params, opt.expiry)
     ln_k = math.log(opt.strike)
     width = params.sigma * math.sqrt(opt.expiry)
     half = 0.5 * abs(y0 - ln_k) + 10.0 * width + 0.5 * width * width
     center = 0.5 * (y0 + ln_k)
-    return FPGridSpec(
-        x_min=center - half,
-        x_max=center + half,
-        n_points=n_points,
-        dt_step=opt.expiry / n_time_steps,
+    return FPGridSpec.from_steps(
+        center - half, center + half, n_points, opt.expiry, n_time_steps
     )
 
 

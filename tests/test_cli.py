@@ -461,6 +461,29 @@ class TestConfigFile:
         assert err["error"] == "ConfigError"
         assert key in err["message"]
 
+    # JSON numbers that Python reads but cannot convert to the key's type:
+    # an integer past float range for a float key, and the floats that
+    # json reads as inf, -inf and nan for an integer key.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"u0": 1' + "0" * 400 + "}", "config key u0 must be a finite number"),
+            ('{"u0": 1, "n_paths": 1e400}', "config key n_paths must be an integer"),
+            ('{"u0": 1, "n_paths": -Infinity}', "config key n_paths must be an integer"),
+            ('{"u0": 1, "n_paths": NaN}', "config key n_paths must be an integer"),
+        ],
+        ids=["huge_int_float_key", "overflow_int_key", "minus_infinity_int_key",
+             "nan_int_key"],
+    )
+    def test_unconvertible_number_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = ["price", *STD_FLAGS[2:], "--config", str(path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+
 
 MARKET_ARGV = ["--u0", "1.1", "--rd", "0.03", "--rf", "0.01", "--sigma", "0.25"]
 MARKET_SETTINGS = {"u0": 1.1, "rd": 0.03, "rf": 0.01, "sigma": 0.25}
@@ -887,6 +910,21 @@ class TestFokkerPlanckCommand:
         assert json.loads(line)["mass"] == pytest.approx(1.0, abs=1e-6)
 
 
+PDE_ARGV = ["price", *STD_FLAGS, "--method", "pde"]
+
+
+@pytest.mark.parametrize("bound", [["--x-min", "-2"], ["--x-max", "2"]], ids=["x_min", "x_max"])
+@pytest.mark.parametrize("command", [PDE_ARGV, ["fokker-planck"]], ids=["price", "fokker_planck"])
+def test_lone_grid_bound_exits_2(command, bound, capsys):
+    # A grid override needs both bounds; one alone is a config error.
+    assert cli.main([*command, *bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ConfigError", "message": "x_min and x_max must be given together"
+    }
+
+
 class TestGridLimits:
     @pytest.mark.parametrize(
         "command",
@@ -1027,9 +1065,7 @@ class TestStreamedCsv:
             return density_to_csv(read_density_csv(text))
         header, *rows = text.splitlines()
         table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
-        n_paths, n_steps = table.shape[1] - 1, table.shape[0] - 1
-        paths = PathSet(table[:, 0], table[:, 1:].T, 4, n_paths, n_steps)
-        return paths_to_csv(paths)
+        return paths_to_csv(PathSet(table[:, 0], table[:, 1:].T))
 
     @pytest.mark.parametrize(
         "args",

@@ -37,6 +37,8 @@ SPEC = FPGridSpec(-1.0, 1.0, 11)
 POINTS = np.linspace(-1.0, 1.0, 11)
 PRIOR = gaussian_density(POINTS, 0.0, 0.1)
 GRID = ["--x-min", "-1", "--x-max", "1"]
+PDE = ["price", "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", "0.2",
+       "--strike", "1", "--expiry", "1", "--kind", "call", "--method", "pde"]
 
 
 def _cli(*argv):
@@ -97,7 +99,9 @@ POSITIVE = [
 
 # Sites that take a count: (id, entry point, lowest allowed value, message).
 AT_LEAST = [
-    ("cli.pde_grid_from.n_time_steps", _cli("fokker-planck", *GRID, "--n-time-steps"), 1,
+    ("cli.fokker_planck.n_time_steps_given_grid",
+     _cli("fokker-planck", *GRID, "--n-time-steps"), 1, "n_time_steps must be at least 1"),
+    ("cli.price.n_time_steps_given_grid", _cli(*PDE, *GRID, "--n-time-steps"), 1,
      "n_time_steps must be at least 1"),
     ("dynamics.simulate_paths.n_steps", lambda v: simulate_paths(MARKET, 1.0, v, 1, 0), 1,
      "n_steps must be at least 1"),
@@ -106,6 +110,9 @@ AT_LEAST = [
     ("dynamics.simulate_paths.n_partitions",
      lambda v: simulate_paths(MARKET, 1.0, 1, 1, 0, n_partitions=v), 1,
      "n_partitions must be at least 1"),
+    ("fokker_planck.FPGridSpec.from_steps.n_time_steps",
+     lambda v: FPGridSpec.from_steps(-1.0, 1.0, 11, 1.0, v), 1,
+     "n_time_steps must be at least 1"),
     ("fokker_planck.default_grid.n_time_steps",
      lambda v: default_grid(MARKET, 1.0, n_time_steps=v), 1,
      "n_time_steps must be at least 1"),

@@ -249,35 +249,19 @@ class TestSimulatePaths:
 class TestPathSetValidation:
     def test_times_must_start_at_zero(self):
         with pytest.raises(DomainError):
-            PathSet(
-                times=np.array([0.1, 1.0]),
-                log_paths=np.zeros((2, 2)),
-                seed=0,
-                n_paths=2,
-                n_steps=1,
-            )
+            PathSet(times=np.array([0.1, 1.0]), log_paths=np.zeros((2, 2)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            PathSet(
-                times=np.array([0.0, 1.0]),
-                log_paths=np.zeros((2, 3)),
-                seed=0,
-                n_paths=2,
-                n_steps=1,
-            )
+        # One column per time, and a 1-D array is not a set of paths.
+        for log_paths in (np.zeros((2, 3)), np.zeros(2)):
+            with pytest.raises(DomainError):
+                PathSet(times=np.array([0.0, 1.0]), log_paths=log_paths)
 
     def test_common_start_required(self):
         bad = np.zeros((2, 2))
         bad[1, 0] = 1.0
         with pytest.raises(DomainError):
-            PathSet(
-                times=np.array([0.0, 1.0]),
-                log_paths=bad,
-                seed=0,
-                n_paths=2,
-                n_steps=1,
-            )
+            PathSet(times=np.array([0.0, 1.0]), log_paths=bad)
 
 
 class TestPathsCsv:
@@ -311,7 +295,7 @@ class TestPathsCsv:
     # byte.
     @staticmethod
     def per_value_csv(paths):
-        lines = ["time," + ",".join(f"path_{j}" for j in range(paths.n_paths))]
+        lines = ["time," + ",".join(f"path_{j}" for j in range(len(paths.log_paths)))]
         for i, t in enumerate(paths.times):
             cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in paths.log_paths[:, i]]
             lines.append(",".join(cells))
@@ -329,9 +313,6 @@ class TestPathsCsv:
                     [0.0, huge, -huge, 9.999999999999999e307, 1.0 / 3.0],
                 ]
             ),
-            seed=0,
-            n_paths=3,
-            n_steps=4,
         )
         text = paths_to_csv(paths)
         assert text == self.per_value_csv(paths)
@@ -356,12 +337,8 @@ class TestPathsCsv:
         )
     )
     def test_matches_per_value_writer_on_any_finite_floats(self, values):
-        n_steps = len(values) - 1
         paths = PathSet(
-            times=np.arange(n_steps + 1, dtype=float),
+            times=np.arange(len(values), dtype=float),
             log_paths=np.array([values, [values[0]] + values[:0:-1]]),
-            seed=0,
-            n_paths=2,
-            n_steps=n_steps,
         )
         assert paths_to_csv(paths) == self.per_value_csv(paths)
