@@ -77,10 +77,12 @@ class PathSet:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         log_paths = np.asarray(self.log_paths, dtype=float)
-        if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        if times.ndim != 1 or times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise DomainError("times must start at 0 and increase strictly")
         if log_paths.ndim != 2 or log_paths.shape[1] != times.size:
             raise DomainError("log_paths must be 2-D with one column per time")
+        if len(log_paths) == 0:
+            raise DomainError("log_paths must hold at least one path")
         first = log_paths[:, 0]
         if np.any(first != first[0]):
             raise DomainError("all paths must share the same starting point")
@@ -104,28 +106,39 @@ def _require_streams(seed: int, n_partitions: int) -> None:
     require_at_least("n_partitions", n_partitions, 1)
 
 
-def _run_blocks(n_items: int, n_draws: int, seed: int, n_threads: int, fill) -> list:
-    """``[fill(rng, lo, hi) for each block [lo, hi) of n_items]``, in block order.
+def _run_blocks(
+    n_items: int, n_draws: int, seed: int, n_threads: int, fill, buffers: int = 1
+) -> list:
+    """``[fill(rng, lo, hi, work) for each block [lo, hi) of n_items]``, in block order.
 
     Each item takes n_draws draws, and a block holds ``max(1, _CHUNK //
     n_draws)`` items, the last one fewer.  Block b draws from
     block_rng(seed, b), so the results depend on the seed, n_items and
     n_draws, never on the thread count or the schedule.  The blocks run
-    inline when min(n_threads, blocks, cores) is 1, else on that many threads.
+    inline when min(n_threads, blocks, cores) is 1, else on that many
+    workers, worker w taking blocks w, w + workers, ...  The calling
+    thread allocates workers x buffers x one block of float64 values, once
+    per call, and ``work`` is the worker's own (buffers, block) slice of
+    it; a fill keeps its temporaries there and allocates no array per block.
     """
     size = max(1, _CHUNK // n_draws)
     n_blocks = -(-n_items // size)
-
-    def run(b: int):
-        return fill(block_rng(seed, b), b * size, min((b + 1) * size, n_items))
-
     workers = min(n_threads, n_blocks, os.cpu_count() or 1)
+    workspace = np.empty((workers, buffers, min(size, n_items) * n_draws))
+
+    def run(w: int) -> list:
+        return [
+            fill(block_rng(seed, b), b * size, min((b + 1) * size, n_items), workspace[w])
+            for b in range(w, n_blocks, workers)
+        ]
+
     if workers == 1:
-        return [run(b) for b in range(n_blocks)]
+        return run(0)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_blocks)))
+        parts = list(pool.map(run, range(workers)))
+    return [parts[b % workers][b // workers] for b in range(n_blocks)]
 
 
 def simulate_paths(
@@ -143,7 +156,8 @@ def simulate_paths(
     bias.  Paths are drawn in blocks of ``max(1, 65536 // n_steps)`` rows,
     block b from its own stream derived from ``(seed, b)``, so the output is
     a function of the seed, ``n_paths`` and ``n_steps`` alone; the blocks
-    run on up to ``n_partitions`` threads.
+    run on up to ``n_partitions`` threads.  Besides the result, the call
+    allocates one block of draws per thread, once.
     """
     require_positive("horizon", horizon)
     require_at_least("n_steps", n_steps, 1)
@@ -160,10 +174,12 @@ def simulate_paths(
     log_paths = np.empty((n_paths, n_steps + 1))
     log_paths[:, 0] = x0
 
-    def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+    def fill(rng: np.random.Generator, lo: int, hi: int, work: np.ndarray) -> None:
         # x0 + cumsum(step_mean + step_sd * Z) along rows, each operation the
-        # one-shot formula's, commuted at most.
-        z = rng.standard_normal((hi - lo, n_steps))
+        # one-shot formula's, commuted at most; Z is drawn into the worker's
+        # buffer, viewed as the block's rows.
+        z = work[0, : (hi - lo) * n_steps].reshape(hi - lo, n_steps)
+        rng.standard_normal(out=z)
         z *= params.sigma * math.sqrt(dt)
         z += params.log_drift * dt
         out = log_paths[lo:hi, 1:]

@@ -145,8 +145,9 @@ def mc_price(
     The draws come in blocks with their own streams, so the result does not
     depend on ``n_partitions``, the number of threads the blocks run on.
     Each block reduces its samples to (count, mean, sum of squared
-    deviations) in a block-sized buffer, and the blocks' moments are merged
-    in block order, so memory is one block per thread at any n_paths.
+    deviations) in place, and the blocks' moments are merged in block
+    order.  The call allocates its buffers once: one block per thread, and
+    a second for the mirror draws when antithetic, at any n_paths.
     ``diagnostics["n_hits"]`` counts the nonzero samples (an antithetic
     pair is a hit if either leg pays); with none, ``std_error`` is 0.
     """
@@ -166,14 +167,15 @@ def mc_price(
     sd = params.sigma * math.sqrt(t)
     n_samples = n_paths // 2 if antithetic else n_paths
 
-    def fill(rng: np.random.Generator, lo: int, hi: int) -> tuple:
-        # Each block of draws becomes its samples in place, by the
-        # operations of payoff(exp(mean +/- sd * z)) and 0.5 * (up + dn).
-        up = np.empty(hi - lo)
+    def fill(rng: np.random.Generator, lo: int, hi: int, work: np.ndarray) -> tuple:
+        # Each block of draws becomes its samples in place, in the worker's
+        # buffers, by the operations of payoff(exp(mean +/- sd * z)) and
+        # 0.5 * (up + dn).
+        up = work[0, : hi - lo]
         rng.standard_normal(out=up)
         up *= sd
         if antithetic:
-            dn = np.subtract(mean, up)
+            dn = np.subtract(mean, up, out=work[1, : hi - lo])
         up += mean
         _payoff_in_place(opt, np.exp(up, out=up))
         if antithetic:
@@ -185,7 +187,7 @@ def mc_price(
     # Chan, Golub & LeVeque's update for the moments of two sets, in block
     # order from block 0's own moments, not from zeros, so that one block
     # gives np.mean's and np.std's values by construction.
-    blocks = _run_blocks(n_samples, 1, seed, n_partitions, fill)
+    blocks = _run_blocks(n_samples, 1, seed, n_partitions, fill, 2 if antithetic else 1)
     n, sample_mean, m2, n_hits = blocks[0]
     for n_b, mean_b, m2_b, hits_b in blocks[1:]:
         delta = mean_b - sample_mean

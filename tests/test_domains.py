@@ -12,6 +12,7 @@ from entropic_fx import (
     FPGridSpec,
     MarketParams,
     OptionSpec,
+    PathSet,
     TransitionDensity,
     alpha_from_entropic_time,
     analytic_density,
@@ -157,3 +158,16 @@ def domain_message(entry, value, capsys) -> str:
 @pytest.mark.parametrize("entry, value, message", CASES)
 def test_domain_message(entry, value, message, capsys):
     assert domain_message(entry, value, capsys) == message
+
+
+# A path set with no times or no paths is a DomainError, not an IndexError.
+@pytest.mark.parametrize("times, log_paths, message", [
+    pytest.param(np.array([]), np.zeros((3, 0)),
+                 "times must start at 0 and increase strictly", id="no_times"),
+    pytest.param(np.array([0.0, 1.0]), np.zeros((0, 2)),
+                 "log_paths must hold at least one path", id="no_paths"),
+])
+def test_empty_path_set(times, log_paths, message):
+    with pytest.raises(DomainError) as info:
+        PathSet(times, log_paths)
+    assert str(info.value) == message

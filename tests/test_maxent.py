@@ -354,6 +354,38 @@ class TestSolverBehaviour:
         assert np.all(sol.density.weights[outside] == 0.0)
         assert sol.density.mean() == pytest.approx(0.1, abs=1e-10)
 
+    def test_duplicate_constraint_takes_the_ridge(self, monkeypatch):
+        # Two copies of one feature make the Hessian singular, so some Newton
+        # steps solve it with a ridge.  The solve still converges, to the
+        # density of the problem without the copy, and the copies'
+        # multipliers add up to that problem's single one.
+        pts = np.linspace(-1.0, 1.0, 2001)
+        prior = uniform_density(pts)
+        solve, singular = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        sol = solve_maxent(pts, prior, ConstraintSpec(
+            (FirstMoment(), FirstMoment(), SecondCentralMoment(0.0)), (0.01, 0.01, 0.05)
+        ))
+        monkeypatch.undo()
+        ref = solve_maxent(pts, prior, ConstraintSpec(
+            (FirstMoment(), SecondCentralMoment(0.0)), (0.01, 0.05)
+        ))
+        assert singular
+        assert sol.residual_norm <= 1e-12
+        peak = float(ref.density.weights.max())
+        assert np.max(np.abs(sol.density.weights - ref.density.weights)) <= 1e-12 * peak
+        lam = sol.multipliers
+        assert lam[0] + lam[1] == pytest.approx(ref.multipliers[0], rel=0.0, abs=1e-12)
+        assert lam[2] == pytest.approx(ref.multipliers[1], rel=1e-12)
+
 
 def two_moment_problem(mean, var, n_points):
     """Uniform prior on mean +- (|mean| + 12 sd) with the continuity

@@ -11,6 +11,7 @@ must match them to the bit, whatever the thread count.
 
 import concurrent.futures
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,23 @@ class TestPartitionRunner:
         assert recording_pool == []
         want = reference_log_paths(PHYSICAL, 1.0, 2, 1, 4)
         assert same_bits(paths.log_paths, want)
+
+    def test_workers_never_share_a_buffer(self, monkeypatch):
+        # Eight workers on any core count, switching threads every
+        # microsecond: two workers drawing into one buffer would mix their
+        # blocks' draws.
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+        opt = OptionSpec("call", 1.05, 0.7)
+        n_paths = 20 * (_CHUNK // 52) + 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            paths = simulate_paths(PHYSICAL, 1.0, 52, n_paths, seed=12, n_partitions=8)
+            for antithetic in (True, False):
+                assert_mc_matches_reference(opt, 2 * (20 * _CHUNK + 3), 12, antithetic, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_bits(paths.log_paths, reference_log_paths(PHYSICAL, 1.0, 52, n_paths, 12))
 
     def test_worker_error_propagates(self, monkeypatch):
         def failing_rng(seed, b):
