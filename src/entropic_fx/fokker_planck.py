@@ -134,9 +134,11 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int):
+def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int, out=None):
     """What n_steps Crank-Nicolson steps of dt multiply an eigenvector of L
     by, for L's eigenvalues ``lam``; L has the interior stencil (l, d, u).
+    ``out``, a complex array of lam's shape (lam itself when the caller is
+    done with it), takes x and, on a split first step, the factor.
 
     A step takes v' = A^-1 (2I - A) v with A = I - (dt/2) L, so it multiplies
     a mode by g = (1 + x) / (1 - x), x = lam dt/2.  For the grid's
@@ -150,7 +152,7 @@ def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int):
     """
     l, d, u = stencil
     half = 0.5 * dt
-    x = half * np.asarray(lam, dtype=complex)
+    x = np.multiply(half, lam, out=out, dtype=complex)
     split = (1.0 - half * d) + half * l + half * u > 2.0
     k = n_steps - 1 if split else n_steps
     power = 1.0
@@ -201,6 +203,7 @@ def evolve_density(
         initial.points, points, rtol=0.0, atol=1e-12 * scale
     ):
         raise DomainError("initial density must live on the grid given by spec")
+    del points  # built again for the result, so it is not held through the transforms
     _check_initial_support(initial)
 
     n = spec.n_points
@@ -217,25 +220,33 @@ def evolve_density(
     spectrum = np.fft.rfft(initial.weights, m)
     # l e^{-i theta} + d + u e^{i theta}, without the cancellation of its terms.
     theta = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
-    lam = -4.0 * dif * np.sin(0.5 * theta) ** 2 - 2j * adv * np.sin(theta)
+    lam = np.multiply(2j * adv, np.sin(theta), out=np.empty(theta.size, complex))
+    np.subtract(-4.0 * dif * np.sin(0.5 * theta) ** 2, lam, out=lam)
     del theta
     # The leak is judged on the exact-in-time flow e^(lam t), since it asks
     # whether the grid is wide enough for the horizon: a run of a few long
     # steps starts with implicit half-steps, whose exponential tails reach
     # past a grid that the density does not (2.3e-8 of the mass on the
-    # default grid at one step).  One transform at a time, and each array
-    # freed once used, keep peak memory down.
-    flow = np.fft.irfft(spectrum * np.exp(lam * t), m)
-    if float(np.sum(np.abs(flow[n:]))) > _LEAK_TOL * float(np.sum(initial.weights)):
+    # default grid at one step).  One transform at a time, each product
+    # formed in memory the solve already holds, and each array freed once
+    # used keep peak memory down.
+    work = np.multiply(lam, t, out=np.empty_like(lam))
+    np.exp(work, out=work)
+    flow = np.fft.irfft(np.multiply(spectrum, work, out=work), m)
+    del work
+    leaked = np.abs(flow[n:], out=flow[n:])
+    if float(np.sum(leaked)) > _LEAK_TOL * float(np.sum(initial.weights)):
         raise MassLeak(
             "density reached the grid boundary during evolution; "
             "widen the grid or shorten the horizon"
         )
-    del flow
-    spectrum *= _crank_nicolson_factor(lam, stencil, t / n_steps, n_steps)
+    del flow, leaked
+    # lam is dead once the factor has it, so the factor may overwrite it.
+    spectrum *= _crank_nicolson_factor(lam, stencil, t / n_steps, n_steps, out=lam)
+    del lam
     p = np.fft.irfft(spectrum, m)
-    del spectrum, lam
+    del spectrum
     if not np.isfinite(p).all():
         raise NumericalError("evolution overflowed to non-finite values")
     p = p[:n].copy()  # the padding goes before the result is built and checked
-    return _finalize_weights(points, p)
+    return _finalize_weights(spec.points(), p)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch
+from .errors import DomainError, GridMismatch, require_positive
 
 # Relative deviation allowed between grid spacings before the grid is
 # rejected as non-uniform.
@@ -107,8 +107,7 @@ def require_same_grid(a: DensityGrid, b: DensityGrid) -> None:
 
 def gaussian_density(points: np.ndarray, mean: float, variance: float) -> DensityGrid:
     """Normal density sampled on ``points`` and trapezoid-normalized."""
-    if variance <= 0.0:
-        raise DomainError("variance must be positive")
+    require_positive("variance", variance)
     points = np.asarray(points, dtype=float)
     z = (points - mean) ** 2 / (2.0 * variance)
     w = np.exp(-(z - z.min()))  # shift before exponentiating; rescaled below

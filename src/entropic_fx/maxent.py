@@ -187,25 +187,27 @@ def solve_maxent(
 
     c = _trapezoid_weights(grid.size, reference.h)
     base = (c * prior.weights)[support]  # quadrature-weighted prior mass
+    del reference, prior  # of the arrays in grid's shape, c and support stay
     # The workspace that every dual evaluation of this solve refills.
     s, centered, weighted = np.empty(base.size), np.empty_like(feats), np.empty_like(feats)
 
     def dual_state(lam: np.ndarray):
-        """Dual value, induced node masses, gradient, and covariance at lam."""
+        """Dual value, gradient, and covariance at lam; the induced node
+        masses are left in s, where the next evaluation overwrites them."""
         s_max = float(np.max(np.matmul(lam, feats, out=s)))
         np.exp(np.subtract(s, s_max, out=s), out=s)
         np.multiply(s, base, out=s)
         z = float(np.sum(s))
         dual = s_max + np.log(z) - float(lam @ targets)
-        node_mass = s / z  # quadrature-weighted density, sums to 1
+        node_mass = np.divide(s, z, out=s)  # quadrature-weighted density, sums to 1
         moments = feats @ node_mass
         grad = moments - targets
         np.subtract(feats, moments[:, None], out=centered)
         hess = np.multiply(centered, node_mass, out=weighted) @ centered.T
-        return dual, node_mass, grad, hess
+        return dual, grad, hess
 
     lam = np.zeros(feats.shape[0])
-    dual, node_mass, grad, hess = dual_state(lam)
+    dual, grad, hess = dual_state(lam)
     dual_path = [dual]
     iterations = 0
     residual = float(np.max(np.abs(grad)))
@@ -226,10 +228,11 @@ def solve_maxent(
         # unobservable, so the first finite trial is accepted outright.
         predicted = -0.5 * float(grad @ step)
         full_step = predicted <= 8.0 * np.finfo(float).eps * (1.0 + abs(dual))
+        # The trial accepted is the last one evaluated, so s holds its masses.
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = lam + scale * step
-            t_dual, t_mass, t_grad, t_hess = dual_state(trial)
+            t_dual, t_grad, t_hess = dual_state(trial)
             if np.isfinite(t_dual) and (full_step or t_dual < dual):
                 break
             scale *= 0.5
@@ -240,7 +243,7 @@ def solve_maxent(
 
         if t_dual < dual:
             dual_path.append(t_dual)
-        lam, dual, node_mass, grad, hess = trial, t_dual, t_mass, t_grad, t_hess
+        lam, dual, grad, hess = trial, t_dual, t_grad, t_hess
         iterations += 1
         residual = float(np.max(np.abs(grad)))
         if not np.all(np.isfinite(lam)) or np.max(np.abs(lam)) > _LAMBDA_LIMIT:
@@ -249,8 +252,9 @@ def solve_maxent(
             )
 
     # Convert quadrature-weighted node masses back to density values.
+    del feats, base, centered, weighted
     weights = np.zeros(grid.size)
-    weights[support] = node_mass / c[support]
+    weights[support] = np.divide(s, c[support], out=s)
     density = DensityGrid(grid, weights).normalize()
     return MultiplierSolution(
         multipliers=lam,

@@ -271,10 +271,11 @@ def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
         payoff = np.maximum(strike - np.exp(y), 0.0)
     phi = payoff[0] * np.expm1(y - y[-1]) / math.expm1(y[0] - y[-1])
     scale = np.exp(np.clip(0.5 * (y0 - y), -700.0, 700.0))
-    z = (payoff - phi) * scale
-    spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
-    del payoff, z  # of the arrays in y's shape, only the rows read are kept
+    z = np.multiply(np.subtract(payoff, phi, out=payoff), scale, out=payoff)
+    # Of the arrays in y's shape, only the rows read are kept.
     scale, phi = scale[rows].copy(), phi[rows].copy()
+    spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
+    del payoff, z
     # sqrt(l u) = l e^(-h/2); the eigenvalues d + 2 sqrt(l u) cos(theta),
     # without the cancellation of their terms.
     theta = (math.pi / (n - 1)) * np.arange(n)
@@ -283,11 +284,14 @@ def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
     del theta
     dtau = t / n_steps
     steps = (n_steps - 1, n_steps) if n_steps > 1 else (n_steps,)
-    # One inverse transform at a time keeps peak memory down.
-    w = np.array([
-        np.fft.irfft(spectrum * _crank_nicolson_factor(lam, stencil, dtau, k), 2 * (n - 1))[:n][rows]
-        for k in steps
-    ]) / scale + phi
+
+    def rows_after(k):
+        # One inverse transform at a time, of the product formed in the
+        # factor's memory, keeps peak memory down.
+        factor = _crank_nicolson_factor(lam, stencil, dtau, k)
+        return np.fft.irfft(np.multiply(spectrum, factor, out=factor), 2 * (n - 1))[:n][rows].copy()
+
+    w = np.array([rows_after(k) for k in steps]) / scale + phi
     if not np.isfinite(w).all():
         raise NumericalError("PDE values overflow on this grid")
     if n_steps == 1:

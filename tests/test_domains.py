@@ -79,6 +79,8 @@ POSITIVE = [
     ("fokker_planck.evolve_density.t",
      lambda v: evolve_density(point_mass_density(POINTS, 0.0), MARKET, v, SPEC),
      "t must be positive and finite"),
+    ("grids.gaussian_density.variance", lambda v: gaussian_density(POINTS, 0.0, v),
+     "variance must be positive and finite"),
     ("market.MarketParams.u0", lambda v: MarketParams(v, 0.05, 0.02, 0.2),
      "u0 must be positive and finite"),
     ("market.MarketParams.sigma", lambda v: MarketParams(1.0, 0.05, 0.02, v),
