@@ -234,13 +234,12 @@ def evolve_density(
     np.exp(work, out=work)
     flow = np.fft.irfft(np.multiply(spectrum, work, out=work), m)
     del work
-    leaked = np.abs(flow[n:], out=flow[n:])
-    if float(np.sum(leaked)) > _LEAK_TOL * float(np.sum(initial.weights)):
+    if float(np.sum(np.abs(flow[n:], out=flow[n:]))) > _LEAK_TOL * float(np.sum(initial.weights)):
         raise MassLeak(
             "density reached the grid boundary during evolution; "
             "widen the grid or shorten the horizon"
         )
-    del flow, leaked
+    del flow
     # lam is dead once the factor has it, so the factor may overwrite it.
     spectrum *= _crank_nicolson_factor(lam, stencil, t / n_steps, n_steps, out=lam)
     del lam

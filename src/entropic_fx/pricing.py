@@ -287,7 +287,8 @@ def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
 
     def rows_after(k):
         # One inverse transform at a time, of the product formed in the
-        # factor's memory, keeps peak memory down.
+        # factor's memory, keeps peak memory down; the rows read are copied
+        # so that no transform outlives its step.
         factor = _crank_nicolson_factor(lam, stencil, dtau, k)
         return np.fft.irfft(np.multiply(spectrum, factor, out=factor), 2 * (n - 1))[:n][rows].copy()
 
