@@ -215,8 +215,12 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
             fh.writelines(chunks)
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+def _write_json(stream, payload: dict) -> None:
+    """Write payload as one line of strict JSON, which has no inf or nan."""
+    try:
+        stream.write(json.dumps(payload, allow_nan=False) + "\n")
+    except ValueError:
+        raise NumericalError(f"non-finite value in {json.dumps(payload)}") from None
 
 
 def _grid(settings: dict, horizon: float, default):
@@ -255,7 +259,7 @@ def cmd_price(settings: dict) -> None:
     opt = OptionSpec(settings["kind"], settings["strike"], settings["expiry"])
     if settings["method"] != "all":
         result = _price_one(settings["method"], settings, market, opt)
-        _print_json(result.to_json_dict())
+        _write_json(sys.stdout, result.to_json_dict())
         return
 
     results = [_price_one(m, settings, market, opt) for m in _METHODS]
@@ -266,12 +270,10 @@ def cmd_price(settings: dict) -> None:
     ok_mc = abs(mc.premium - reference) <= max(mc_band, 1e-12)
     pde_scale = max(reference, 0.01 * market.u0)
     ok_pde = abs(results[3].premium - reference) <= _ALL_PDE_RELTOL * pde_scale
-    _print_json(
-        {
-            "results": [r.to_json_dict() for r in results],
-            "pairwise_consistent": bool(ok_quad and ok_mc and ok_pde),
-        }
-    )
+    _write_json(sys.stdout, {
+        "results": [r.to_json_dict() for r in results],
+        "pairwise_consistent": bool(ok_quad and ok_mc and ok_pde),
+    })
 
 
 def cmd_parity(settings: dict) -> None:
@@ -296,7 +298,7 @@ def cmd_parity(settings: dict) -> None:
             raise NumericalError(
                 f"{violations} of {n_cases} parity cases exceed the bound"
             )
-        _print_json({"max_abs_residual": worst, "n_cases": n_cases})
+        _write_json(sys.stdout, {"max_abs_residual": worst, "n_cases": n_cases})
         return
     residual = parity_residual(market, settings["strike"], settings["expiry"])
     bound = 1e-12 * max(market.u0, settings["strike"])
@@ -304,7 +306,7 @@ def cmd_parity(settings: dict) -> None:
         raise NumericalError(
             f"parity residual {residual!r} exceeds bound {bound!r}"
         )
-    _print_json({"residual": residual, "bound": bound})
+    _write_json(sys.stdout, {"residual": residual, "bound": bound})
 
 
 def cmd_simulate(settings: dict) -> None:
@@ -328,17 +330,16 @@ def cmd_fokker_planck(settings: dict) -> None:
     t = settings["t"]
     require_positive("t", t)
     spec = _grid(settings, t, functools.partial(fp.default_grid, market, t))
-    points = spec.points()
-    initial = fp.point_mass_density(points, math.log(market.u0))
+    initial = fp.point_mass_density(spec.points(), math.log(market.u0))
     evolved = fp.evolve_density(initial, market, t, spec)
-    exact = fp.analytic_density(market, t, points)
+    exact = fp.analytic_density(market, t, spec.points())
     diagnostic = {
         "l1_distance_to_analytic": l1_distance(evolved, exact),
         "mass": evolved.mass(),
         "n_points": spec.n_points,
         "t": t,
     }
-    sys.stderr.write(json.dumps(diagnostic) + "\n")
+    _write_json(sys.stderr, diagnostic)
     _emit(density_csv_chunks(evolved), settings["output"])
 
 
@@ -368,7 +369,7 @@ def cmd_maxent_check(settings: dict) -> None:
         (maxent.SecondCentralMoment(center=0.0),), (k_prime,)
     )
     solution = maxent.solve_maxent(
-        prior.points, prior, constraints,
+        points, prior, constraints,
         tol=settings["tol"], max_iter=settings["max_iter"],
     )
     # The exact answer is the variance-k_prime Gaussian; compare pointwise.
@@ -382,18 +383,16 @@ def cmd_maxent_check(settings: dict) -> None:
             f"{settings['bound']!r}"
         )
     expected = -0.5 * (1.0 / k_prime - 1.0 / k)
-    _print_json(
-        {
-            "k": k,
-            "k_prime": k_prime,
-            "multiplier": float(solution.multipliers[0]),
-            "expected_multiplier": expected,
-            "recovered_variance": solution.density.variance(),
-            "max_pointwise_error": max_pointwise,
-            "iterations": solution.iterations,
-            "residual_norm": solution.residual_norm,
-        }
-    )
+    _write_json(sys.stdout, {
+        "k": k,
+        "k_prime": k_prime,
+        "multiplier": float(solution.multipliers[0]),
+        "expected_multiplier": expected,
+        "recovered_variance": solution.density.variance(),
+        "max_pointwise_error": max_pointwise,
+        "iterations": solution.iterations,
+        "residual_norm": solution.residual_norm,
+    })
 
 
 _COMMANDS = {
@@ -406,8 +405,7 @@ _COMMANDS = {
 
 
 def _fail(exc: Exception, code: int) -> int:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    sys.stderr.write(json.dumps(payload) + "\n")
+    _write_json(sys.stderr, {"error": type(exc).__name__, "message": str(exc)})
     return code
 
 

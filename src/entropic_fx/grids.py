@@ -1,73 +1,94 @@
-"""Discretized probability densities on uniform 1-D log-rate grids."""
+"""Densities on uniform 1-D log-rate grids, and their 17-digit CSV text.
+
+A grid is three numbers (``UniformGrid``); a points array from outside is
+checked once, by ``UniformGrid.of``, where a public constructor takes one.
+"""
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, require_positive
+from .errors import DomainError, GridMismatch, require_at_least, require_positive
 
 # Relative deviation allowed between grid spacings before the grid is
-# rejected as non-uniform.
+# rejected as non-uniform, and between the ends of two grids taken as one.
 SPACING_RTOL = 1e-12
 # The most points a grid command allocates, checked before allocating.
-# tracemalloc peaks per point: solve_maxent 73 bytes, evolve_density 65 and
-# pde_price 66.  At 10**6 points each grid command's peak RSS is 77-110 MB
-# above that of importing numpy (the CLI's own arrays and FFT scratch).
 MAX_GRID_POINTS = 1_000_000
 
 
-def _as_1d_float(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError(f"{name} must be one-dimensional")
-    if arr.size < 2:
-        raise DomainError(f"{name} needs at least two entries")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
-class DensityGrid:
-    """Density values sampled on a uniform, strictly increasing grid.
+class UniformGrid:
+    """The n_points log rates np.linspace(x_min, x_max, n_points)."""
 
-    ``points`` are log-rate coordinates, ``weights`` are nonnegative density
-    values per unit log-rate.  Normalization uses the trapezoidal rule; a
-    freshly constructed grid need not be normalized until ``normalize`` is
-    called.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
+    x_min: float
+    x_max: float
+    n_points: int
 
     def __post_init__(self):
-        points = _as_1d_float(self.points, "points")
-        weights = _as_1d_float(self.weights, "weights")
-        if points.size != weights.size:
-            raise DomainError("points and weights must have equal length")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise DomainError("grid bounds must be finite, with x_min < x_max")
+        require_at_least("n_points", self.n_points, 2)
+
+    @classmethod
+    def of(cls, points) -> UniformGrid:
+        """The grid of finite increasing points, each step within SPACING_RTOL
+        of the mean; np.linspace's arrays read back bit for bit."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 1 or points.size < 2 or not np.all(np.isfinite(points)):
+            raise DomainError("points must be a finite 1-D array of two or more")
         steps = np.diff(points)
         if np.any(steps <= 0.0):
             raise DomainError("points must be strictly increasing")
         h = (points[-1] - points[0]) / (points.size - 1)
-        if np.max(np.abs(steps - h)) > SPACING_RTOL * max(abs(h), 1.0):
+        deviation = np.abs(np.subtract(steps, h, out=steps), out=steps)
+        if np.max(deviation) > SPACING_RTOL * max(abs(h), 1.0):
             raise DomainError("points must be uniformly spaced")
-        if np.any(weights < 0.0):
-            raise DomainError("weights must be nonnegative")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        return cls(float(points[0]), float(points[-1]), points.size)
 
     @property
     def h(self) -> float:
-        """Grid spacing."""
-        return (self.points[-1] - self.points[0]) / (self.points.size - 1)
+        return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    @property
-    def n(self) -> int:
-        return self.points.size
+    def points(self) -> np.ndarray:
+        return np.linspace(self.x_min, self.x_max, self.n_points)
+
+    def matches(self, other: UniformGrid) -> bool:
+        """Equal n_points, and ends within SPACING_RTOL of the largest |end|, or 1."""
+        a, b = (self.x_min, self.x_max), (other.x_min, other.x_max)
+        tol = SPACING_RTOL * max(1.0, *map(abs, a + b))
+        return self.n_points == other.n_points and all(abs(x - y) <= tol for x, y in zip(a, b))
+
+
+@dataclass(frozen=True, init=False)
+class DensityGrid:
+    """Nonnegative density values per unit log rate, one per grid point;
+    trapezoidal moments.  DensityGrid(points, weights) checks both arrays;
+    given another density's or spec's UniformGrid, it takes the weights as
+    their maker checked them."""
+
+    grid: UniformGrid
+    weights: np.ndarray
+
+    def __init__(self, points, weights):
+        if not isinstance(points, UniformGrid):
+            points = UniformGrid.of(points)
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (points.n_points,):
+                raise DomainError("weights must be one per point")
+            if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+                raise DomainError("weights must be finite and nonnegative")
+        object.__setattr__(self, "grid", points)
+        object.__setattr__(self, "weights", weights)
+
+    points = property(lambda self: self.grid.points(), doc="Built on each read.")
+    h = property(lambda self: self.grid.h)
+    n = property(lambda self: self.grid.n_points)
 
     def mass(self) -> float:
         """Total probability under the trapezoidal rule."""
@@ -78,12 +99,12 @@ class DensityGrid:
         m = self.mass()
         if m <= 0.0:
             raise DomainError("cannot normalize a density with zero mass")
-        return DensityGrid(self.points, self.weights / m)
+        return DensityGrid(self.grid, self.weights / m)
 
     def expectation(self, values: np.ndarray) -> float:
         """Trapezoidal expectation of a function sampled on the grid."""
         values = np.asarray(values, dtype=float)
-        if values.shape != self.points.shape:
+        if values.shape != self.weights.shape:
             raise GridMismatch("sampled function does not match the grid")
         return float(np.trapezoid(self.weights * values, dx=self.h))
 
@@ -96,10 +117,7 @@ class DensityGrid:
 
 
 def same_grid(a: DensityGrid, b: DensityGrid) -> bool:
-    if a.n != b.n:
-        return False
-    scale = max(1.0, float(np.max(np.abs(a.points))))
-    return bool(np.max(np.abs(a.points - b.points)) <= SPACING_RTOL * scale)
+    return a.grid.matches(b.grid)
 
 
 def require_same_grid(a: DensityGrid, b: DensityGrid) -> None:
@@ -111,14 +129,15 @@ def gaussian_density(points: np.ndarray, mean: float, variance: float) -> Densit
     """Normal density sampled on ``points`` and trapezoid-normalized."""
     require_positive("variance", variance)
     points = np.asarray(points, dtype=float)
+    grid = UniformGrid.of(points)
     z = (points - mean) ** 2 / (2.0 * variance)
     w = np.exp(-(z - z.min()))  # shift before exponentiating; rescaled below
-    return DensityGrid(points, w).normalize()
+    return DensityGrid(grid, w).normalize()
 
 
 def uniform_density(points: np.ndarray) -> DensityGrid:
-    points = np.asarray(points, dtype=float)
-    return DensityGrid(points, np.ones_like(points)).normalize()
+    grid = UniformGrid.of(points)
+    return DensityGrid(grid, np.ones(grid.n_points)).normalize()
 
 
 def l1_distance(a: DensityGrid, b: DensityGrid) -> float:

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError, InfeasibleConstraints, NoConvergence, SupportViolation, require_at_least,
-    require_positive,
+    DomainError, GridMismatch, InfeasibleConstraints, NoConvergence, SupportViolation,
+    require_at_least, require_positive,
 )
-from .grids import DensityGrid, require_same_grid
+from .grids import DensityGrid, UniformGrid, require_same_grid
 
 # Multiplier magnitude beyond which the dual iteration is declared divergent:
 # targets at or outside the achievable moment range push multipliers to
@@ -71,8 +71,6 @@ class ConstraintSpec:
         return len(self.moment_fns)
 
     def feature_matrix(self, points: np.ndarray) -> np.ndarray:
-        if len(self) == 0:
-            return np.empty((0, points.size))
         return np.vstack([fn.sample(points) for fn in self.moment_fns])
 
 
@@ -134,7 +132,8 @@ def solve_maxent(
     Parameters
     ----------
     grid:
-        Coordinate array; must coincide with ``prior.points``.
+        Points of a uniform grid, checked here once (``UniformGrid.of``);
+        the prior's grid must match it (``UniformGrid.matches``).
     prior:
         Prior density (any positive rescaling gives the same solution).
     constraints:
@@ -159,9 +158,10 @@ def solve_maxent(
     NoConvergence
         If the budget is exhausted or the line search stalls short of tol.
     """
-    grid = np.asarray(grid, dtype=float)
-    reference = DensityGrid(grid, np.ones_like(grid))
-    require_same_grid(prior, reference)
+    points = np.asarray(grid, dtype=float)
+    grid = UniformGrid.of(points)
+    if not prior.grid.matches(grid):
+        raise GridMismatch("prior does not lie on grid")
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
     require_at_least("max_iter", max_iter, 1)
@@ -175,7 +175,7 @@ def solve_maxent(
 
     # One C-ordered row per feature on the prior's support; other nodes keep 0.
     support = prior.weights > 0.0
-    feats = constraints.feature_matrix(grid[support])
+    feats = constraints.feature_matrix(points[support])
     targets = np.asarray(constraints.targets, dtype=float)
     for j, row in enumerate(feats):
         lo, hi = float(row.min()), float(row.max())
@@ -185,9 +185,9 @@ def solve_maxent(
                 f"achievable range ({lo}, {hi}) on this grid"
             )
 
-    c = _trapezoid_weights(grid.size, reference.h)
+    c = _trapezoid_weights(grid.n_points, grid.h)
     base = (c * prior.weights)[support]  # quadrature-weighted prior mass
-    del reference, prior  # of the arrays in grid's shape, c and support stay
+    del points, prior  # of the arrays in grid's shape, c and support stay
     # The workspace that every dual evaluation of this solve refills.
     s, centered, weighted = np.empty(base.size), np.empty_like(feats), np.empty_like(feats)
 
@@ -253,7 +253,7 @@ def solve_maxent(
 
     # Convert quadrature-weighted node masses back to density values.
     del feats, base, centered, weighted
-    weights = np.zeros(grid.size)
+    weights = np.zeros(grid.n_points)
     weights[support] = np.divide(s, c[support], out=s)
     density = DensityGrid(grid, weights).normalize()
     return MultiplierSolution(

@@ -394,6 +394,15 @@ class TestOverflowingInputs:
         [line] = proc.stderr.splitlines()
         assert json.loads(line)["error"] == error
 
+    def test_non_finite_result_is_not_printed(self):
+        # The squared deviations of a 1e300 rate overflow, so the standard
+        # error is inf, which strict JSON cannot hold.  numpy may warn first.
+        proc = run_cli(*"price --method monte_carlo --u0 1e300 --strike 1e300 --rd 0.03 "
+                        "--rf 0.01 --sigma 0.2 --expiry 1 --kind call --n-paths 1000".split())
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "NumericalError"
+
 
 class TestConfigFile:
     def config(self, tmp_path, payload):

@@ -205,7 +205,7 @@ def transform_evolve(initial, params, t, spec):
     lam = -4.0 * dif * np.sin(0.5 * theta) ** 2 - 2j * adv * np.sin(theta)
     factor = _crank_nicolson_factor(lam, (lower[1], diag[1], upper[1]), t / n_steps, n_steps)
     p = np.fft.irfft(np.fft.rfft(initial.weights, m) * factor, m)[:n]
-    return _finalize_weights(spec.points(), p).weights
+    return _finalize_weights(spec, p).weights
 
 
 def transform_pde(params, opt, grid):

@@ -15,6 +15,8 @@ from entropic_fx import (
     uniform_density,
 )
 
+from entropic_fx.grids import SPACING_RTOL
+
 from conftest import read_density_csv
 
 
@@ -143,6 +145,33 @@ class TestGridComparison:
         a = gaussian_density(pts, 0.0, 0.01)
         b = gaussian_density(pts, 0.1, 0.02)
         assert l1_distance(a, b) == l1_distance(b, a)
+
+    @given(
+        x_min=st.floats(min_value=-100.0, max_value=100.0),
+        width=st.floats(min_value=1e-2, max_value=100.0),
+        n=st.integers(min_value=2, max_value=2000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_grid_is_its_three_numbers(self, x_min, width, n):
+        # A grid reads back as np.linspace of its ends, so a linspace array
+        # comes back bit for bit, through normalize() too.  Two grids are one
+        # when n agrees and both ends agree to SPACING_RTOL of the largest.
+        pts = np.linspace(x_min, x_min + width, n)
+        g = DensityGrid(pts, np.ones(n))
+        assert g.points.tobytes() == pts.tobytes()
+        assert g.normalize().points.tobytes() == pts.tobytes()
+
+        x_max = float(pts[-1])
+        tol = SPACING_RTOL * max(1.0, abs(x_min), abs(x_max))
+
+        def on(lo, hi, n=n):
+            return uniform_density(np.linspace(lo, hi, n))
+        near = on(x_min + 0.25 * tol, x_max - 0.25 * tol)
+        moved = [on(x_min - 4.0 * tol, x_max), on(x_min, x_max + 4.0 * tol)]
+        for other in [near, on(x_min, x_max, n + 1), *moved]:
+            assert same_grid(g, other) == same_grid(other, g)
+        assert same_grid(g, near)
+        assert not any(same_grid(g, other) for other in moved)
 
     def test_l1_distance_grid_mismatch(self):
         a = uniform_density(grid_points(101))
