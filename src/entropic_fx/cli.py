@@ -69,7 +69,6 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
         "antithetic": (bool, True, None),
         "tol": (float, 1e-10, "quadrature tolerance, relative to max(1, u0, strike)"),
         "n_points": (int, 1601, None),
-        "n_time_steps": (int, 400, None),
         "x_min": (float, None, "PDE grid override: lowest log rate at expiry"),
         "x_max": (float, None, "PDE grid override: highest log rate at expiry"),
         "threads": (int, 1, None),
@@ -93,7 +92,6 @@ _SCHEMAS: dict[str, dict[str, tuple[type, Any, Any]]] = {
         **_market(u0=1.0, rd=0.05, rf=0.02, sigma=0.2),
         "t": (float, 1.0, "evolution horizon"),
         "n_points": (int, 2001, None),
-        "n_time_steps": (int, 1000, None),
         "x_min": (float, None, "grid override"),
         "x_max": (float, None, "grid override"),
         "output": (str, None, "write CSV here instead of stdout"),
@@ -223,16 +221,15 @@ def _write_json(stream, payload: dict) -> None:
         raise NumericalError(f"non-finite value in {json.dumps(payload)}") from None
 
 
-def _grid(settings: dict, horizon: float, default):
-    """The FPGridSpec that x_min/x_max give, else default(n_points, n_time_steps)."""
+def _grid(settings: dict, default):
+    """The FPGridSpec that x_min/x_max give, else default(n_points)."""
     x_min, x_max = settings["x_min"], settings["x_max"]
     if (x_min is None) != (x_max is None):
         raise ConfigError("x_min and x_max must be given together")
-    n_points, n_time_steps = settings["n_points"], settings["n_time_steps"]
     if x_min is None:
-        return default(n_points, n_time_steps)
+        return default(settings["n_points"])
     from .fokker_planck import FPGridSpec
-    return FPGridSpec.from_steps(x_min, x_max, n_points, horizon, n_time_steps)
+    return FPGridSpec(x_min, x_max, settings["n_points"])
 
 
 def _price_one(method: str, settings: dict, market: MarketParams, opt: OptionSpec):
@@ -251,7 +248,7 @@ def _price_one(method: str, settings: dict, market: MarketParams, opt: OptionSpe
             n_partitions=_threads(settings),
         )
     default = functools.partial(pricing.default_pde_grid, market, opt)
-    return pricing.pde_price(market, opt, _grid(settings, opt.expiry, default))
+    return pricing.pde_price(market, opt, _grid(settings, default))
 
 
 def cmd_price(settings: dict) -> None:
@@ -329,7 +326,7 @@ def cmd_fokker_planck(settings: dict) -> None:
     market = MarketParams(*_rates(settings))
     t = settings["t"]
     require_positive("t", t)
-    spec = _grid(settings, t, functools.partial(fp.default_grid, market, t))
+    spec = _grid(settings, functools.partial(fp.default_grid, market, t))
     initial = fp.point_mass_density(spec.points(), math.log(market.u0))
     evolved = fp.evolve_density(initial, market, t, spec)
     exact = fp.analytic_density(market, t, spec.points())

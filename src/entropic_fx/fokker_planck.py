@@ -3,10 +3,10 @@
 Solves dp/dt = -d/dx[nu p] + (sigma^2/2) d^2p/dx^2 on a uniform grid with
 a conservative flux-form discretization: the change in each cell is the
 difference of fluxes through its faces, so the discrete mass sum is
-conserved exactly (up to rounding).  Time stepping is Crank-Nicolson.  The
-coefficients are constant in the log rate, so on a periodic grid the
-Fourier modes are the scheme's eigenvectors, and all of its steps are one
-multiplier per mode.
+conserved exactly (up to rounding).  The coefficients are constant in the
+log rate, so on a periodic grid the Fourier modes are the operator's
+eigenvectors, and its exact flow over time t multiplies each mode by
+e^(lam t), lam the mode's eigenvalue: there is no time step.
 """
 
 from __future__ import annotations
@@ -33,7 +33,13 @@ _SUPPORT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FPGridSpec(UniformGrid):
-    """A UniformGrid of 3 to MAX_GRID_POINTS log rates plus a time-step cap, checked when built."""
+    """A UniformGrid of 3 to MAX_GRID_POINTS log rates, checked when built.
+
+    No solver reads ``dt_step``: both are exact in time.  It stays, with the
+    ``n_time_steps`` of ``from_steps``, ``default_grid`` and
+    ``default_pde_grid``, only because the benchmark still passes and reads
+    it, until its spans come from the library (ROADMAP item 13, step 2).
+    """
 
     n_points: int = 2001
     dt_step: float = 1e-3
@@ -44,19 +50,11 @@ class FPGridSpec(UniformGrid):
         super().__post_init__()
         require_positive("dt_step", self.dt_step)
 
-    def n_steps(self, t: float) -> int:
-        """The fewest equal steps of at most dt_step that span t.
-
-        The relative slack forgives the rounding of dt_step = t / N, so that
-        t / dt_step, a few ulps above N, still gives N steps at any N.
-        """
-        return max(1, math.ceil(t / self.dt_step * (1.0 - 1e-12)))
-
     @classmethod
     def from_steps(
         cls, x_min: float, x_max: float, n_points: int, t: float, n_time_steps: int
     ) -> FPGridSpec:
-        """The grid that spans t in n_time_steps equal steps."""
+        """The grid with dt_step = t / n_time_steps."""
         require_at_least("n_time_steps", n_time_steps, 1)
         return cls(x_min, x_max, n_points, t / n_time_steps)
 
@@ -67,7 +65,10 @@ def default_grid(
     n_points: int = 2001,
     n_time_steps: int = 1000,
 ) -> FPGridSpec:
-    """Grid centered on the log-rate mean at time t, ten sigmas wide."""
+    """Grid centered on the log-rate mean at time t, ten sigmas wide.
+
+    ``n_time_steps`` sets only ``dt_step`` (see FPGridSpec).
+    """
     require_positive("t", t)
     center = log_coordinate(params.u0) + params.log_drift * t
     half = 10.0 * params.sigma * math.sqrt(t)
@@ -121,38 +122,6 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _crank_nicolson_factor(lam, stencil, dt: float, n_steps: int, out=None):
-    """What n_steps Crank-Nicolson steps of dt multiply an eigenvector of L
-    by, for L's eigenvalues ``lam``; L has the interior stencil (l, d, u).
-    ``out``, a complex array of lam's shape (lam itself when the caller is
-    done with it), takes x and, on a split first step, the factor.
-
-    A step takes v' = A^-1 (2I - A) v with A = I - (dt/2) L, so it multiplies
-    a mode by g = (1 + x) / (1 - x), x = lam dt/2.  For the grid's
-    highest-frequency mode g is (2 - a)/a, where a = d - l - u is A's
-    interior stencil summed with alternating signs.  When a > 2 that is
-    negative and a rough start rings, so the first step is then replaced by
-    two implicit half-steps v' = A^-1 v (Rannacher), which damp it: the
-    factor is g^(N-1) / (1 - x)^2 rather than g^N.  g^k is taken as
-    e^(2k atanh x), which keeps its accuracy where g rounds to near 1 and k
-    is large; where x = -1, g is 0 and the infinite atanh x is not taken.
-    """
-    l, d, u = stencil
-    half = 0.5 * dt
-    x = np.multiply(half, lam, out=out, dtype=complex)
-    split = (1.0 - half * d) + half * l + half * u > 2.0
-    k = n_steps - 1 if split else n_steps
-    power = 1.0
-    if k:
-        g_zero = x == -1.0
-        power = np.arctanh(x, out=np.zeros_like(x), where=~g_zero)
-        np.exp(np.multiply(2.0 * k, power, out=power), out=power)
-        power[g_zero] = 0.0
-    if split:  # (1 - x)^2 in x's memory: two arrays of modes at most
-        power = np.divide(power, np.square(np.subtract(1.0, x, out=x), out=x), out=x)
-    return power
-
-
 def _finalize_weights(grid: UniformGrid, p: np.ndarray) -> DensityGrid:
     """Clip round-off negatives, reject genuine undershoots.
 
@@ -177,11 +146,11 @@ def evolve_density(
     """Evolve ``initial`` forward by time t under the log-rate dynamics.
 
     The grid is zero-padded to a periodic one at least twice as long, where
-    Crank-Nicolson is one multiplier per Fourier mode, through rfft and
-    irfft.  The padding takes up what crosses the grid's ends.  Raises
-    MassLeak if the initial density already touches the grid edges, or if
-    the exact-in-time flow of the grid operator leaves more than a 1e-8
-    fraction of the mass in the padding at time t.
+    the grid operator's exact flow is e^(lam t) per Fourier mode, through
+    one rfft and one irfft.  The padding takes up what crosses the grid's
+    ends.  Raises MassLeak if the initial density already touches the grid
+    edges, or if more than a 1e-8 fraction of the mass is in the padding at
+    time t.
     """
     require_positive("t", t)
     if not initial.grid.matches(spec):
@@ -190,43 +159,30 @@ def evolve_density(
 
     n = spec.n_points
     h = initial.h
-    nu = params.log_drift
-    n_steps = spec.n_steps(t)
-
     # Face flux between cells i and i+1: the centred average of the advective
-    # part plus a two-point diffusive part, divided by h.
-    adv = 0.5 * nu / h
+    # part plus a two-point diffusive part, divided by h.  Its interior
+    # stencil is (adv + dif, -2 dif, dif - adv).
+    adv = 0.5 * params.log_drift / h
     dif = 0.5 * params.sigma * params.sigma / (h * h)
-    stencil = (adv + dif, -2.0 * dif, -adv + dif)
     m = _fft_length(2 * n)
     # l e^{-i theta} + d + u e^{i theta}, without the cancellation of its terms.
     theta = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
     lam = np.multiply(2j * adv, np.sin(theta), out=np.empty(theta.size, complex))
     np.subtract(-4.0 * dif * np.sin(0.5 * theta) ** 2, lam, out=lam)
     del theta
+    # e^(lam t) in lam's memory and the product in the spectrum's: only the
+    # spectrum is alive through the inverse transform.
+    np.exp(np.multiply(lam, t, out=lam), out=lam)
     spectrum = np.fft.rfft(initial.weights, m)
-    # The leak is judged on the exact-in-time flow e^(lam t), since it asks
-    # whether the grid is wide enough for the horizon: a run of a few long
-    # steps starts with implicit half-steps, whose exponential tails reach
-    # past a grid that the density does not (2.3e-8 of the mass on the
-    # default grid at one step).  Peak memory stays down with lam's theta
-    # freed before the first transform, one transform at a time, each
-    # product formed in memory the solve holds, and arrays freed once used.
-    work = np.multiply(lam, t, out=np.empty_like(lam))
-    np.exp(work, out=work)
-    flow = np.fft.irfft(np.multiply(spectrum, work, out=work), m)
-    del work
-    if float(np.sum(np.abs(flow[n:], out=flow[n:]))) > _LEAK_TOL * float(np.sum(initial.weights)):
+    np.multiply(spectrum, lam, out=spectrum)
+    del lam
+    p = np.fft.irfft(spectrum, m)
+    del spectrum
+    if float(np.sum(np.abs(p[n:], out=p[n:]))) > _LEAK_TOL * float(np.sum(initial.weights)):
         raise MassLeak(
             "density reached the grid boundary during evolution; "
             "widen the grid or shorten the horizon"
         )
-    del flow
-    # lam is dead once the factor has it, so the factor may overwrite it.
-    spectrum *= _crank_nicolson_factor(lam, stencil, t / n_steps, n_steps, out=lam)
-    del lam
-    p = np.fft.irfft(spectrum, m)
-    del spectrum
     if not np.isfinite(p).all():
         raise NumericalError("evolution overflowed to non-finite values")
     p = p[:n].copy()  # the padding goes before the result is built and checked

@@ -112,8 +112,9 @@ class DensityGrid:
         return self.expectation(self.points)
 
     def variance(self) -> float:
-        m = self.mean()
-        return self.expectation((self.points - m) ** 2)
+        points = self.points  # built once, for the mean and the squares
+        m = self.expectation(points)
+        return self.expectation((points - m) ** 2)
 
 
 def same_grid(a: DensityGrid, b: DensityGrid) -> bool:

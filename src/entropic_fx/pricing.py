@@ -20,7 +20,7 @@ from .errors import (
     DomainError, GridTooNarrow, NumericalError, ToleranceNotMet, require_at_least,
     require_positive,
 )
-from .fokker_planck import FPGridSpec, _crank_nicolson_factor
+from .fokker_planck import FPGridSpec
 from .market import (  # numpy-free; the closed form's names are re-exported here
     CALL, PUT, RISK_NEUTRAL, MarketParams, OptionSpec, PriceResult, _discount,
     _require_risk_neutral, closed_form_price, log_coordinate, parity_residual,
@@ -227,6 +227,7 @@ def default_pde_grid(
 
     Centered between the log forward and the log strike, extended ten
     sigma*sqrt(T) plus the forward's drift sigma^2 T / 2 on each side.
+    ``n_time_steps`` sets only ``dt_step`` (see FPGridSpec).
     """
     y0 = _log_forward(params, opt.expiry)
     ln_k = math.log(opt.strike)
@@ -248,24 +249,22 @@ def _put_stencil(sigma: float, h: float) -> tuple[float, float, float]:
     return lower, -(lower + upper), upper
 
 
-def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
-    """W, the undiscounted put, on the nodes ``rows`` of grid y after
-    n_steps Crank-Nicolson steps over time t; and the scaled defect of the
-    last step on the interior nodes among them (0.0 for one step).
+def _solve_put(sigma, strike, y, y0, t, rows):
+    """W, the undiscounted put, on the nodes ``rows`` of grid y at time t.
 
     The end rows keep the payoff's end values K - e^y and 0.  Subtracting
     Phi = a + b e^(y - y_max) through them leaves V with zero ends, and
     Z = V e^(-(y - y0)/2) turns the interior stencil into a symmetric one
     with coupling sqrt(l u), whose eigenvectors are sines: one DST-I (an
-    rfft of Z's odd extension), one multiplier per mode, and the inverse.
-    Undoing that scale amplifies the transform's rounding by e^(|y - y0|/2),
-    so W is reliable near y0 only.  The scale's exponent is clipped to
-    +-700: far below y0 and the strike V is exactly 0, and far above y0 Z
-    is negligible.
+    rfft of Z's odd extension), the exact flow e^(lam t) per mode, and the
+    inverse.  Undoing that scale amplifies the transform's rounding by
+    e^(|y - y0|/2), so W is reliable near y0 only.  The scale's exponent is
+    clipped to +-700: far below y0 and the strike V is exactly 0, and far
+    above y0 Z is negligible.
     """
     n = y.size
     h = float(y[1] - y[0])
-    stencil = lower, diag, upper = _put_stencil(sigma, h)
+    lower = _put_stencil(sigma, h)[0]
     # e^y overflows only above the strike, where the put pays 0.
     with np.errstate(over="ignore"):
         payoff = np.maximum(strike - np.exp(y), 0.0)
@@ -277,57 +276,44 @@ def _solve_put(sigma, strike, y, y0, t, n_steps, rows):
     spectrum = np.fft.rfft(np.concatenate((z, -z[-2:0:-1])))
     del payoff, z
     # sqrt(l u) = l e^(-h/2); the eigenvalues d + 2 sqrt(l u) cos(theta),
-    # without the cancellation of their terms.
+    # without the cancellation of their terms, are real and at most 0.
     theta = (math.pi / (n - 1)) * np.arange(n)
     couple = lower * math.exp(-0.5 * h)
     lam = -lower * math.expm1(-0.5 * h) ** 2 - 4.0 * couple * np.sin(0.5 * theta) ** 2
     del theta
-    dtau = t / n_steps
-    steps = (n_steps - 1, n_steps) if n_steps > 1 else (n_steps,)
-
-    def rows_after(k):
-        # One inverse transform at a time, of the product formed in the
-        # factor's memory, keeps peak memory down; the rows read are copied
-        # so that no transform outlives its step.
-        factor = _crank_nicolson_factor(lam, stencil, dtau, k)
-        return np.fft.irfft(np.multiply(spectrum, factor, out=factor), 2 * (n - 1))[:n][rows].copy()
-
-    w = np.array([rows_after(k) for k in steps]) / scale + phi
+    # e^(lam t) in lam's memory and the product in the spectrum's: only the
+    # spectrum is alive through the inverse transform.
+    np.exp(np.multiply(lam, t, out=lam), out=lam)
+    np.multiply(spectrum, lam, out=spectrum)
+    del lam
+    w = np.fft.irfft(spectrum, 2 * (n - 1))[:n][rows] / scale + phi
     if not np.isfinite(w).all():
         raise NumericalError("PDE values overflow on this grid")
-    if n_steps == 1:
-        return w[0], 0.0
-    previous, values = w
-    mid = 0.5 * (previous + values)
-    defect = (values - previous)[1:-1] / dtau - (
-        lower * mid[:-2] + diag * mid[1:-1] + upper * mid[2:]
-    )
-    return values, float(np.max(np.abs(defect))) / (1.0 + float(np.max(np.abs(mid))))
+    return w
 
 
 def pde_price(
     params: MarketParams, opt: OptionSpec, grid: Optional[FPGridSpec] = None
 ) -> PriceResult:
-    """Crank-Nicolson solve for the undiscounted put on the log forward; a
-    call by static replication.
+    """Exact-in-time solve of the grid equations for the undiscounted put on
+    the log forward; a call by static replication.
 
     In time-to-maturity tau and the log forward y = ln u + (rd - rf) tau, the
     undiscounted put W = e^{rd tau} P satisfies W_tau = (sigma^2/2)(W_yy - W_y)
     whatever the rates.  Its values at the grid's ends, K - e^y and 0, solve
     that equation and do not change with tau, so the grid is one of log rates
-    at expiry and its end rows keep the payoff's end values.  Where
-    Crank-Nicolson would ring on the payoff kink (on every default grid), the
-    first step is split into two implicit half-steps that damp it.  All the
-    steps are one multiplier per sine mode (_solve_put).
+    at expiry and its end rows keep the payoff's end values.  The flow over
+    T is one multiplier e^(lam T) per sine mode (_solve_put): there is no
+    time step, and nothing rings on the payoff kink.
 
     The put premium is e^{-rd T} W(T, y0) at y0 = ln u0 + (rd - rf) T, read
     off the Lagrange cubic through the four nodes nearest y0 (all three on a
     three-point grid), so a y0 on a node reads that node's value.  A call is
     that put plus u0 e^{-rf T} - K e^{-rd T}: static replication, not the
-    closed form.  The ``residual`` diagnostic is the scaled defect of the last
-    Crank-Nicolson step's equations on the interior nodes around the read, a
-    check on the transforms; it is 0.0 when n_time_steps is 1.  Values that
-    overflow during the solve raise NumericalError.
+    closed form.  Values that overflow during the solve raise NumericalError.
+    The ``residual`` (0.0) and ``n_time_steps`` (1) diagnostics are those of
+    a one-step solve, kept only because the benchmark still reads them,
+    until its spans come from the library (ROADMAP item 13, step 2).
     """
     _require_risk_neutral(params)
     if grid is None:
@@ -350,27 +336,23 @@ def pde_price(
     if min(y0 - y[0], y[-1] - y0) < _PDE_EDGE_FRACTION * span:
         raise GridTooNarrow("log forward sits within 10% of the grid boundary")
 
-    n_steps = grid.n_steps(t)
-    # The four nodes read, and one more on each side for the residual.
+    # The four nodes read.
     j = max(0, min(int(np.searchsorted(y, y0)) - 2, n - 4))
-    first = max(0, j - 1)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            values, residual = _solve_put(
-                params.sigma, opt.strike, y, y0, t, n_steps, slice(first, j + 5)
-            )
+            values = _solve_put(params.sigma, opt.strike, y, y0, t, slice(j, j + 4))
     except FloatingPointError as exc:
         raise NumericalError(f"PDE values overflow on this grid ({exc})") from exc
 
     near = y[j : j + 4]
     weights = [np.prod((y0 - near[near != yk]) / (yk - near[near != yk])) for yk in near]
     disc_d = _discount(params.drift_d, t)
-    premium = disc_d * float(np.dot(weights, values[j - first : j - first + 4]))
+    premium = disc_d * float(np.dot(weights, values))
     if opt.kind == CALL:
         premium += params.u0 * _discount(params.drift_f, t) - opt.strike * disc_d
     return PriceResult(
         premium=premium,
         method="pde",
         std_error=None,
-        diagnostics={"residual": residual, "n_points": n, "n_time_steps": n_steps},
+        diagnostics={"residual": 0.0, "n_points": n, "n_time_steps": 1},
     )

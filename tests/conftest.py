@@ -97,21 +97,3 @@ def apply_tridiag(lower, diag, upper, p):
     out[1:] += lower[1:] * p[:-1]
     out[:-1] += upper[:-1] * p[1:]
     return out
-
-
-class BandedSolve:
-    """A tridiagonal matrix factored for the reference marches: scipy's
-    ``solve_banded`` (LAPACK, partial pivoting) on every solve.  scipy is a
-    test-only dependency."""
-
-    def __init__(self, lower, diag, upper):
-        # (3, n) banded storage; ab[0, 0] and ab[2, -1] are unused.
-        self.ab = np.zeros((3, diag.size))
-        self.ab[0, 1:] = upper
-        self.ab[1] = diag
-        self.ab[2, :-1] = lower
-
-    def solve(self, rhs, scale=1.0):
-        from scipy.linalg import solve_banded
-
-        return solve_banded((1, 1), self.ab, scale * rhs)

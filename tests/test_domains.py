@@ -38,8 +38,6 @@ SPEC = FPGridSpec(-1.0, 1.0, 11)
 POINTS = np.linspace(-1.0, 1.0, 11)
 PRIOR = gaussian_density(POINTS, 0.0, 0.1)
 GRID = ["--x-min", "-1", "--x-max", "1"]
-PDE = ["price", "--u0", "1", "--rd", "0.05", "--rf", "0.02", "--sigma", "0.2",
-       "--strike", "1", "--expiry", "1", "--kind", "call", "--method", "pde"]
 
 
 def _cli(*argv):
@@ -102,10 +100,6 @@ POSITIVE = [
 
 # Sites that take a count: (id, entry point, lowest allowed value, message).
 AT_LEAST = [
-    ("cli.fokker_planck.n_time_steps_given_grid",
-     _cli("fokker-planck", *GRID, "--n-time-steps"), 1, "n_time_steps must be at least 1"),
-    ("cli.price.n_time_steps_given_grid", _cli(*PDE, *GRID, "--n-time-steps"), 1,
-     "n_time_steps must be at least 1"),
     ("dynamics.simulate_paths.n_steps", lambda v: simulate_paths(MARKET, 1.0, v, 1, 0), 1,
      "n_steps must be at least 1"),
     ("dynamics.simulate_paths.n_paths", lambda v: simulate_paths(MARKET, 1.0, 1, v, 0), 1,

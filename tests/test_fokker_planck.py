@@ -50,24 +50,6 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             FPGridSpec(**kwargs)
 
-    def test_step_count_is_the_count_asked_for(self):
-        # dt_step = t / N gives back N steps at every N; t / dt_step then
-        # rounds a few ulps above N, which from N ~ 18,000 up is more than
-        # an absolute slack of 1e-12 forgives.
-        rng = np.random.default_rng(19)
-        cases = [(5.0, 18_393), (5.0, 18_869), (1.0, 23_294)] + list(zip(
-            rng.uniform(0.01, 10.0, 20_000).tolist(),
-            rng.integers(1, 200_000, 20_000).tolist(),
-        ))
-        wrong = [(t, n) for t, n in cases if FPGridSpec(-1.0, 1.0, 3, t / n).n_steps(t) != n]
-        assert wrong == []
-
-    @pytest.mark.parametrize(
-        "t, dt_step, n_steps", [(1.0, 0.3, 4), (1.0, 0.25, 4), (0.5, 2.0, 1)]
-    )
-    def test_step_count_caps_the_step(self, t, dt_step, n_steps):
-        assert FPGridSpec(-1.0, 1.0, 3, dt_step).n_steps(t) == n_steps
-
     def test_largest_grid_is_accepted(self):
         assert FPGridSpec(-1.0, 1.0, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
 
@@ -123,7 +105,7 @@ class TestDiffusionAgainstClosedForm:
         # -sigma^2/2 = -0.02 and picks up variance sigma^2 t = 0.04,
         # landing on N(-0.02, 0.0401) to L1 < 1e-3 at 2001 points.
         market = flat_rates_market(0.2)
-        spec = FPGridSpec(-0.02 - 1.5, -0.02 + 1.5, 2001, dt_step=1e-3)
+        spec = FPGridSpec(-0.02 - 1.5, -0.02 + 1.5, 2001)
         pts = spec.points()
         initial = gaussian_density(pts, 0.0, 1e-4)
         evolved = evolve_density(initial, market, 1.0, spec)
@@ -135,7 +117,7 @@ class TestDiffusionAgainstClosedForm:
 
     def test_short_time_is_near_identity(self):
         market = flat_rates_market(0.2)
-        spec = FPGridSpec(-1.0, 1.0, 2001, dt_step=1e-6)
+        spec = FPGridSpec(-1.0, 1.0, 2001)
         pts = spec.points()
         initial = gaussian_density(pts, 0.0, 1e-2)
         evolved = evolve_density(initial, market, 1e-6, spec)
@@ -146,7 +128,7 @@ class TestDiffusionAgainstClosedForm:
         # the rate differential per unit time with no visible spreading.
         market = MarketParams(u0=1.0, drift_d=0.1, drift_f=0.0, sigma=1e-6)
         nu = market.log_drift
-        spec = FPGridSpec(-0.3, 0.5, 2001, dt_step=1e-3)
+        spec = FPGridSpec(-0.3, 0.5, 2001)
         pts = spec.points()
         initial = gaussian_density(pts, 0.0, 4e-4)
         t = 1.0
@@ -161,7 +143,7 @@ class TestDiffusionAgainstClosedForm:
         # variance grows at sigma^2, both to 1e-6 absolute.
         market = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
         nu = market.log_drift
-        spec = FPGridSpec(nu - 1.6, nu + 1.6, 2001, dt_step=1e-3)
+        spec = FPGridSpec(nu - 1.6, nu + 1.6, 2001)
         pts = spec.points()
         initial = gaussian_density(pts, 0.0, 1e-4)
         evolved = evolve_density(initial, market, 1.0, spec)
@@ -173,7 +155,7 @@ class TestDiffusionAgainstClosedForm:
     def test_point_mass_start_matches_transition_law(self):
         market = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
         t = 1.0
-        spec = default_grid(market, t, n_points=2001, n_time_steps=1000)
+        spec = default_grid(market, t, n_points=2001)
         pts = spec.points()
         initial = point_mass_density(pts, 0.0)
         evolved = evolve_density(initial, market, t, spec)
@@ -193,7 +175,7 @@ class TestDiffusionAgainstClosedForm:
 
     def test_mass_conserved_through_long_run(self):
         market = flat_rates_market(0.2)
-        spec = FPGridSpec(-3.0, 3.0, 1501, dt_step=1e-3)
+        spec = FPGridSpec(-3.0, 3.0, 1501)
         pts = spec.points()
         initial = gaussian_density(pts, 0.0, 1e-3)
         evolved = evolve_density(initial, market, 2.0, spec)
@@ -206,8 +188,8 @@ class TestScaleInvariance:
         # shifted copy on a shifted grid gives the shifted result.
         market = MarketParams(u0=1.0, drift_d=0.05, drift_f=0.02, sigma=0.2)
         shift = math.log(5.0)
-        spec_a = FPGridSpec(-2.0, 2.0, 1201, dt_step=1e-3)
-        spec_b = FPGridSpec(-2.0 + shift, 2.0 + shift, 1201, dt_step=1e-3)
+        spec_a = FPGridSpec(-2.0, 2.0, 1201)
+        spec_b = FPGridSpec(-2.0 + shift, 2.0 + shift, 1201)
         a0 = gaussian_density(spec_a.points(), 0.0, 1e-3)
         b0 = gaussian_density(spec_b.points(), shift, 1e-3)
         t = 0.5
@@ -219,7 +201,7 @@ class TestScaleInvariance:
 class TestFailureModes:
     def test_initial_mass_near_edge_raises(self):
         market = flat_rates_market(0.2)
-        spec = FPGridSpec(-1.0, 1.0, 1001, dt_step=1e-3)
+        spec = FPGridSpec(-1.0, 1.0, 1001)
         pts = spec.points()
         initial = gaussian_density(pts, 0.85, 1e-4)  # inside the outer 10%
         with pytest.raises(MassLeak):
@@ -228,7 +210,7 @@ class TestFailureModes:
     def test_leak_during_run_raises(self):
         # A grid only two sigma wide cannot contain a unit-time diffusion.
         market = flat_rates_market(0.5)
-        spec = FPGridSpec(-0.5, 0.5, 501, dt_step=1e-3)
+        spec = FPGridSpec(-0.5, 0.5, 501)
         pts = spec.points()
         initial = gaussian_density(pts, 0.0, 1e-4)
         with pytest.raises(MassLeak):
@@ -236,14 +218,14 @@ class TestFailureModes:
 
     def test_grid_mismatch_rejected(self):
         market = flat_rates_market(0.2)
-        spec = FPGridSpec(-1.0, 1.0, 1001, dt_step=1e-3)
+        spec = FPGridSpec(-1.0, 1.0, 1001)
         other = gaussian_density(np.linspace(-2.0, 2.0, 1001), 0.0, 1e-3)
         with pytest.raises(DomainError):
             evolve_density(other, market, 1.0, spec)
 
     def test_bad_horizon_rejected(self):
         market = flat_rates_market(0.2)
-        spec = FPGridSpec(-1.0, 1.0, 1001, dt_step=1e-3)
+        spec = FPGridSpec(-1.0, 1.0, 1001)
         initial = gaussian_density(spec.points(), 0.0, 1e-3)
         with pytest.raises(DomainError):
             evolve_density(initial, market, 0.0, spec)

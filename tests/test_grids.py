@@ -15,9 +15,9 @@ from entropic_fx import (
     uniform_density,
 )
 
-from entropic_fx.grids import SPACING_RTOL
+from entropic_fx.grids import SPACING_RTOL, UniformGrid
 
-from conftest import read_density_csv
+from conftest import read_density_csv, same_bits
 
 
 def grid_points(n=101, lo=-1.0, hi=1.0):
@@ -99,6 +99,29 @@ class TestMassAndNormalize:
         assert g.mass() == pytest.approx(1.0, abs=1e-13)
         assert g.mean() == pytest.approx(mean, abs=1e-9)
         assert g.variance() == pytest.approx(var, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_variance_is_the_two_pass_form(self, seed):
+        # The points are built once; the value is that of the mean's own
+        # pass followed by a second build of the points, to the bit.
+        rng = np.random.default_rng(seed)
+        x_min = float(rng.uniform(-3.0, 1.0))
+        pts = np.linspace(x_min, x_min + float(rng.uniform(0.5, 4.0)), int(rng.integers(3, 4001)))
+        g = DensityGrid(pts, rng.uniform(0.0, 2.0, pts.size))
+        m = g.mean()
+        assert same_bits(g.variance(), g.expectation((g.points - m) ** 2))
+
+    def test_variance_builds_the_points_once(self, monkeypatch):
+        builds = []
+        points = UniformGrid.points
+
+        def counted(grid):
+            builds.append(1)
+            return points(grid)
+
+        monkeypatch.setattr(UniformGrid, "points", counted)
+        uniform_density(grid_points()).variance()
+        assert len(builds) == 1
 
     def test_gaussian_density_rejects_bad_variance(self):
         with pytest.raises(DomainError):

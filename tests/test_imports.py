@@ -82,7 +82,7 @@ def test_import_loads_no_scipy(module):
             "--n-paths", "4", "--seed", "1",
         ],
         ["maxent-check"],
-        ["fokker-planck", *MARKET, "--n-points", "401", "--n-time-steps", "100"],
+        ["fokker-planck", *MARKET, "--n-points", "401"],
         ["price", *MARKET, *OPTION, "--kind", "call", "--method", "pde"],
         [
             "price", *MARKET, *OPTION, "--kind", "call", "--method", "all",

@@ -552,9 +552,7 @@ class TestPde:
         # discounting; the deep-ITM call must land on discounted intrinsic.
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 1e-8)
         opt = OptionSpec("call", 0.5, 1.0)
-        grid = FPGridSpec(
-            math.log(0.5) - 1.0, math.log(2.0) + 1.0, 1601, dt_step=1.0 / 400
-        )
+        grid = FPGridSpec(math.log(0.5) - 1.0, math.log(2.0) + 1.0, 1601)
         expected = math.exp(-0.05) * (math.exp(0.03) - 0.5)
         got = pde_price(market, opt, grid).premium
         assert abs(got - expected) / expected < 1e-6
@@ -562,14 +560,14 @@ class TestPde:
     def test_narrow_grid_around_strike_rejected(self):
         market = self.std()
         opt = OptionSpec("call", 1.0, 1.0)
-        grid = FPGridSpec(-1.0, 1.0, 801, dt_step=1.0 / 400)  # 5 sigma only
+        grid = FPGridSpec(-1.0, 1.0, 801)  # 5 sigma only
         with pytest.raises(GridTooNarrow):
             pde_price(market, opt, grid)
 
     def test_spot_outside_grid_rejected(self):
         market = self.std().with_spot(100.0)
         opt = OptionSpec("call", 100.0, 1.0)
-        grid = FPGridSpec(-2.0, 2.0, 801, dt_step=1.0 / 400)
+        grid = FPGridSpec(-2.0, 2.0, 801)
         with pytest.raises(GridTooNarrow):
             pde_price(market, opt, grid)
 
@@ -577,7 +575,7 @@ class TestPde:
         market = self.std()
         opt = OptionSpec("call", 1.0, 1.0)
         # Strike clears the eight-sigma rule but ln u0 = 0 hugs the edge.
-        grid = FPGridSpec(-0.2, 3.0, 801, dt_step=1.0 / 400)
+        grid = FPGridSpec(-0.2, 3.0, 801)
         with pytest.raises(GridTooNarrow):
             pde_price(market, opt, grid)
 
@@ -609,7 +607,7 @@ class TestPde:
 
     def test_values_overflowing_near_exp_limit_raise(self):
         # Spot and strike near e^709.6: the put's values, up to ~0.86 K, pass
-        # float max when a Crank-Nicolson step doubles them.  That is
+        # float max in the sums of the sine transform.  That is
         # NumericalError, with no floating-point warning on the way.
         market = MarketParams.risk_neutral(1.5e308, 0.05, 0.02, 0.2)
         with warnings.catch_warnings():
@@ -622,7 +620,7 @@ class TestPde:
         # y_max = 709, just below ln(float max), at sigma = 30: no value of the
         # solve comes near e^709, for either kind.
         market = MarketParams.risk_neutral(1.0, 0.05, 0.02, 30.0)
-        grid = FPGridSpec(-700.0, 709.0, 1601, dt_step=1.0 / 400)
+        grid = FPGridSpec(-700.0, 709.0, 1601)
         for kind in ("call", "put"):
             opt = OptionSpec(kind, 1.0, 1.0)
             with warnings.catch_warnings():
@@ -636,7 +634,7 @@ class TestPde:
         # part Phi that the solve subtracts) are made, are annihilated by the
         # interior stencil, so the end values solve the scheme: on a fine
         # grid, past ln(float max), and with steps h = 5.
-        grid = FPGridSpec(-half, half, 101, dt_step=0.01)
+        grid = FPGridSpec(-half, half, 101)
         y = grid.points()
         stencil = pricing._put_stencil(sigma, float(y[1] - y[0]))
         bands = [np.full(y.size, c) for c in stencil]
@@ -678,9 +676,8 @@ class TestPde:
         from the solve that pde_price reads, undone on every node."""
         premium = pde_price(market, opt, grid).premium
         y0 = self.log_forward(market, opt)
-        n_steps = grid.n_steps(opt.expiry)
-        values, _ = pricing._solve_put(
-            market.sigma, opt.strike, grid.points(), y0, opt.expiry, n_steps, slice(None)
+        values = pricing._solve_put(
+            market.sigma, opt.strike, grid.points(), y0, opt.expiry, slice(None)
         )
         return premium, values
 
@@ -703,7 +700,7 @@ class TestPde:
         # Equal rates put the log forward on ln u0 = 0.
         market = MarketParams.risk_neutral(1.0, 0.03, 0.03, 0.2)
         opt = OptionSpec(kind, 1.1, 1.0)
-        grid = FPGridSpec(-2.0, 2.0, 801, dt_step=1.0 / 400)
+        grid = FPGridSpec(-2.0, 2.0, 801)
         assert grid.points()[400] == self.log_forward(market, opt) == 0.0
         premium, values = self.solve_all_nodes(market, opt, grid)
         assert same_bits(premium, self.premium_from_put(market, opt, values[400]))
@@ -713,7 +710,7 @@ class TestPde:
         # Three nodes give the parabola, four the cubic, through all of them.
         market = self.std().with_spot(math.exp(0.3))
         opt = OptionSpec("call", 1.0, 1.0)
-        grid = FPGridSpec(-2.0, 2.0, n_points, dt_step=1.0 / 400)
+        grid = FPGridSpec(-2.0, 2.0, n_points)
         premium, values = self.solve_all_nodes(market, opt, grid)
         coeffs = np.polyfit(grid.points(), values, n_points - 1)
         w = np.polyval(coeffs, self.log_forward(market, opt))
@@ -741,11 +738,13 @@ class TestPde:
         with pytest.raises(DomainError, match="n_time_steps"):
             default_pde_grid(self.std(), opt, n_time_steps=n_time_steps)
 
-    def test_reports_the_time_steps_asked_for(self):
-        # Over T = 5, t / (t / 18,869) rounds above 18,869 by more than 1e-12.
+    def test_reports_one_time_step(self):
+        # The solve is exact in time: whatever step a grid carries, it reports
+        # one step and no step defect, as a one-step solve did.
         opt = OptionSpec("put", 1.0, 5.0)
         grid = default_pde_grid(self.std(), opt, n_points=201, n_time_steps=18_869)
-        assert pde_price(self.std(), opt, grid).diagnostics["n_time_steps"] == 18_869
+        diagnostics = pde_price(self.std(), opt, grid).diagnostics
+        assert (diagnostics["n_time_steps"], diagnostics["residual"]) == (1, 0.0)
 
     def test_default_grid_satisfies_guards(self):
         for row in BATTERY:
