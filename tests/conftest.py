@@ -70,8 +70,8 @@ def read_density_csv(text: str) -> DensityGrid:
 
 
 def operator_diagonals(nu: float, diffusion: float, h: float, n: int):
-    """Tridiagonal Fokker-Planck generator L with zero-flux boundary faces,
-    as the reference marches build it.
+    """Tridiagonal Fokker-Planck generator L with zero-flux boundary faces;
+    its interior rows are the stencil of the exact-flow references.
 
     Face flux between cells i and i+1 is the centered average advective
     part plus a two-point diffusive part; dividing flux differences by h

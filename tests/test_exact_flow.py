@@ -301,8 +301,8 @@ class TestPdePrice:
 
 
 class TestOneFlow:
-    """One forward and one inverse transform per call, whatever step the
-    grid carries: no solver reads dt_step."""
+    """One inverse transform per call, whatever time step the grid carries:
+    no solver reads dt_step."""
 
     def test_one_inverse_transform_per_call(self, monkeypatch):
         calls = []
