@@ -271,6 +271,21 @@ class TestPriceCommand:
         proc = run_cli("price", *STD_FLAGS, "--method", "pde", "--x-min", "-2.0")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[], ["--x-min", "-2", "--x-max", "2"]],
+        ids=["default_grid", "given_grid"],
+    )
+    @pytest.mark.parametrize("method", ["pde", "all"])
+    def test_zero_time_steps_exits_2(self, method, grid):
+        # The PDE is exact in time: --n-time-steps is no longer a setting.
+        proc = run_cli(
+            "price", *STD_FLAGS, "--method", method, "--n-time-steps", "0", *grid
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --n-time-steps 0" in proc.stderr
+
     def test_threads_env_var_is_ignored(self):
         # Settings come from flags, the config file and defaults only.
         args = ("price", *STD_FLAGS, "--method", "monte_carlo", "--n-paths", "200000")
@@ -853,6 +868,18 @@ class TestFokkerPlanckCommand:
     def test_bad_t_exits_2(self):
         proc = run_cli("fokker-planck", "--t", "-1.0")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[], ["--x-min", "-2", "--x-max", "2"]],
+        ids=["default_grid", "given_grid"],
+    )
+    def test_zero_time_steps_exits_2(self, grid):
+        # The evolution is exact in time: --n-time-steps is no longer a setting.
+        proc = run_cli("fokker-planck", "--n-time-steps", "0", *grid)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --n-time-steps 0" in proc.stderr
 
     def test_mode_removed_in_one_step_warns_nothing(self):
         # Zero log drift (rd - rf = sigma^2/2), h = 0.5 and sigma = 10 give
